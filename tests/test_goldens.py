@@ -1,10 +1,13 @@
-"""Golden-regression tests for the surrogate evaluator's structural metrics.
+"""Golden-regression tests for the surrogate evaluator's measured metrics.
 
-Params/PR/FLOPs/FR for a fixed set of reference schemes on the two paper
+Params/PR/FLOPs/FR, the surrogate accuracy, the charged cost and the
+per-step cost vector for a fixed set of reference schemes on the two paper
 models (ResNet-56/CIFAR-10, VGG-16/CIFAR-100) are pinned to
-``tests/goldens/surrogate_metrics.json``.  Any refactor of the model
-builders, compression surgery or cost accounting that shifts these numbers
-fails here first — loudly and with the exact delta.
+``tests/goldens/surrogate_metrics.json``.  The chains include a 2-step
+scheme evaluated after its 1-step prefix, so the evaluator's prefix resume
+and incremental charging are covered too.  Any refactor of the model
+builders, compression surgery, accuracy surrogate or cost accounting that
+shifts these numbers fails here first — loudly and with the exact delta.
 
 To intentionally re-baseline after a behaviour-changing PR::
 
@@ -52,6 +55,9 @@ def _measure(exp_name: str, space: StrategySpace) -> dict:
             "pr": result.pr,
             "flops": int(result.flops),
             "fr": result.fr,
+            "accuracy": result.accuracy,
+            "cost": result.cost,
+            "step_costs": list(result.step_costs),
         }
     return measured
 
@@ -84,6 +90,9 @@ def test_surrogate_metrics_match_goldens(exp_name, space, update_goldens):
         assert got["flops"] == golden["flops"], f"flops drift for {identifier}"
         assert got["pr"] == pytest.approx(golden["pr"], rel=1e-12), identifier
         assert got["fr"] == pytest.approx(golden["fr"], rel=1e-12), identifier
+        assert got["accuracy"] == pytest.approx(golden["accuracy"], rel=1e-12), identifier
+        assert got["cost"] == pytest.approx(golden["cost"], rel=1e-12), identifier
+        assert got["step_costs"] == pytest.approx(golden["step_costs"], rel=1e-12), identifier
 
 
 def test_goldens_file_is_well_formed():
@@ -93,6 +102,11 @@ def test_goldens_file_is_well_formed():
     for exp_name, entries in goldens.items():
         assert len(entries) == len(REFERENCE_CHAINS)
         for identifier, metrics in entries.items():
-            assert set(metrics) == {"params", "pr", "flops", "fr"}
+            assert set(metrics) == {
+                "params", "pr", "flops", "fr", "accuracy", "cost", "step_costs",
+            }
             assert metrics["params"] > 0 and metrics["flops"] > 0
             assert 0.0 <= metrics["pr"] <= 1.0
+            assert 0.0 <= metrics["accuracy"] <= 1.0
+            assert len(metrics["step_costs"]) == identifier.count(" -> ") + 1
+            assert metrics["cost"] > 0.0
