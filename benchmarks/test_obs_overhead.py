@@ -85,15 +85,15 @@ def test_null_tracer_hit_path_overhead(benchmark, tmp_path):
 def test_traced_search_results_identical_to_untraced(benchmark):
     """Tracing is purely observational: same schemes, same costs, same front."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    from repro.baselines import RandomSearch
+    from repro.core.solver import run_solver
 
     def run(trace: bool):
         evaluator, _ = _hit_evaluator()
         if trace:
             attach_tracer(evaluator, Tracer())
-        return RandomSearch(
-            evaluator, StrategySpace(), gamma=0.3, budget_hours=0.3, seed=0
-        ).run()
+        return run_solver(
+            "random", evaluator, StrategySpace(), gamma=0.3, budget_hours=0.3, seed=0
+        )
 
     plain, traced = run(False), run(True)
     assert plain.total_cost == traced.total_cost

@@ -10,10 +10,10 @@ Run:  python examples/real_training_comparison.py        (~5-10 minutes)
 """
 
 
-from repro.baselines import EvolutionSearch, RLSearch, RandomSearch
 from repro.core.config import EvaluatorConfig
 from repro.core.evaluator import TrainingEvaluator
 from repro.core.progressive import ProgressiveConfig, ProgressiveSearch
+from repro.core.solver import make_solver
 from repro.data import tiny_dataset
 from repro.knowledge.embedding import EmbeddingConfig, learn_embeddings
 from repro.knowledge.experience import default_experience
@@ -52,12 +52,14 @@ def main() -> None:
             ev, space, embeddings, gamma=GAMMA, budget_hours=BUDGET,
             config=progressive_config, experience=default_experience(), seed=0,
         ),
-        "Evolution": lambda ev: EvolutionSearch(
-            ev, space, gamma=GAMMA, budget_hours=BUDGET,
+        "Evolution": lambda ev: make_solver(
+            "evolution", ev, space, gamma=GAMMA, budget_hours=BUDGET,
             population_size=6, offspring_per_generation=4, seed=0,
         ),
-        "RL": lambda ev: RLSearch(ev, space, gamma=GAMMA, budget_hours=BUDGET, seed=0),
-        "Random": lambda ev: RandomSearch(ev, space, gamma=GAMMA, budget_hours=BUDGET, seed=0),
+        "RL": lambda ev: make_solver("rl", ev, space, gamma=GAMMA, budget_hours=BUDGET, seed=0),
+        "Random": lambda ev: make_solver(
+            "random", ev, space, gamma=GAMMA, budget_hours=BUDGET, seed=0
+        ),
     }
 
     for name, build in searchers.items():

@@ -61,7 +61,7 @@ _FACTORIZING = {"C5", "C6"}
 #: pruning methods that consume PrunableUnits
 _PRUNING = {"C2", "C3", "C4"}
 #: quantizing methods — at most one per scheme, and nothing structural after
-_QUANTIZING = {"C7", "C8"}
+QUANTIZING_METHODS = {"C7", "C8"}
 #: open-interval (0, 1) hyperparameters
 _UNIT_INTERVAL_HPS = {"HP1", "HP2", "HP6", "HP7", "HP9", "HP13", "HP18"}
 #: strictly positive hyperparameters
@@ -170,7 +170,7 @@ def lint_scheme(
             if hp_name in expected_hps:
                 _check_value(report, where, hp_name, value)
 
-        if strategy.method_label in _QUANTIZING:
+        if strategy.method_label in QUANTIZING_METHODS:
             if quantized_at is not None:
                 report.error(
                     "L009", where,

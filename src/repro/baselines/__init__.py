@@ -1,30 +1,26 @@
 """AutoML baselines compared against AutoMC (§4.1).
 
 Every search algorithm here is a registered :class:`repro.core.solver.Solver`
-(``random``, ``evolution``, ``grid``, ``rl``, ``sa``, ``regevo``, ``amc``);
-the ``*Search`` classes are deprecated facades kept for import
-compatibility.
+(``random``, ``evolution``, ``grid``, ``rl``, ``sa``, ``regevo``, ``amc``),
+run through :func:`repro.core.solver.run_solver` / ``make_solver``.
 """
 
 from .amc import AMCSolver
-from .evolution import EvolutionSearch, EvolutionSolver
+from .evolution import EvolutionSolver
 from .grid import GridSearchOutcome, GridSolver, run_all_human_methods, run_human_method
 from .moves import mutate_scheme
-from .random_search import RandomSearch, RandomSolver
+from .random_search import RandomSolver
 from .regevo import RegularizedEvolutionSolver
-from .rl import ControllerRNN, RLSearch, RLSolver
+from .rl import ControllerRNN, RLSolver
 from .sa import SimulatedAnnealingSolver
 
 __all__ = [
     "AMCSolver",
     "ControllerRNN",
-    "EvolutionSearch",
     "EvolutionSolver",
     "GridSearchOutcome",
     "GridSolver",
-    "RLSearch",
     "RLSolver",
-    "RandomSearch",
     "RandomSolver",
     "RegularizedEvolutionSolver",
     "SimulatedAnnealingSolver",

@@ -8,14 +8,13 @@ crossover.  Every offspring evaluation charges the shared simulated budget.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List
 
 import numpy as np
 
 from ..core.evaluator import EvaluationResult
 from ..core.pareto import crowding_distance, nondominated_sort
-from ..core.search import SearchResult, SearchStrategy
+from ..core.search import SearchStrategy
 from ..core.solver import Solver, register_solver
 from ..space.scheme import CompressionScheme
 
@@ -172,41 +171,3 @@ class EvolutionSolver(Solver):
                 seen.add(key)
                 unique.append(schemes[i])
         return unique
-
-
-class EvolutionSearch(SearchStrategy):
-    """Deprecated facade — use ``get_solver("evolution")`` / ``run_solver``."""
-
-    name = "Evolution"
-
-    # exposed for callers that used the staticmethod off the class
-    _beats = staticmethod(EvolutionSolver._beats)
-
-    def __init__(
-        self,
-        *args,
-        population_size: int = 16,
-        offspring_per_generation: int = 8,
-        **kwargs,
-    ):
-        warnings.warn(
-            "EvolutionSearch is deprecated; use repro.core.solver.run_solver"
-            "('evolution', evaluator, space, ...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(*args, **kwargs)
-        self._solver = EvolutionSolver(
-            self,
-            population_size=population_size,
-            offspring_per_generation=offspring_per_generation,
-        )
-
-    def run(self) -> SearchResult:
-        return self._solver.run()
-
-    def __getattr__(self, item):
-        solver = self.__dict__.get("_solver")
-        if solver is None:
-            raise AttributeError(item)
-        return getattr(solver, item)

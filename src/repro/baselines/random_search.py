@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import warnings
 from typing import List
 
-from ..core.search import SearchResult, SearchStrategy
+from ..core.search import SearchStrategy
 from ..core.solver import Solver, register_solver
 from ..space.scheme import CompressionScheme
 
@@ -34,28 +33,3 @@ class RandomSolver(Solver):
             if not scheme.is_empty:
                 batch.append(scheme)
         return batch
-
-
-class RandomSearch(SearchStrategy):
-    """Deprecated facade — use ``get_solver("random")`` / ``run_solver``."""
-
-    name = "Random"
-
-    def __init__(self, *args, record_every: int = 5, **kwargs):
-        warnings.warn(
-            "RandomSearch is deprecated; use repro.core.solver.run_solver"
-            "('random', evaluator, space, ..., record_every=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(*args, **kwargs)
-        self._solver = RandomSolver(self, record_every=record_every)
-
-    def run(self) -> SearchResult:
-        return self._solver.run()
-
-    def __getattr__(self, item):
-        solver = self.__dict__.get("_solver")
-        if solver is None:
-            raise AttributeError(item)
-        return getattr(solver, item)

@@ -17,7 +17,6 @@ reinforced; no intermediate information is reused.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -28,7 +27,7 @@ from ..space.hyperparams import HP_GRID, METHOD_HPS
 from ..space.scheme import CompressionScheme
 from ..space.strategy import make_strategy
 from ..core.evaluator import EvaluationResult
-from ..core.search import SearchResult, SearchStrategy
+from ..core.search import SearchStrategy
 from ..core.solver import Solver, register_solver
 
 
@@ -166,30 +165,3 @@ class RLSolver(Solver):
         self.optimizer.step()
         self._baseline = 0.9 * self._baseline + 0.1 * float(rewards.mean())
         self._round_attrs = {"mean_reward": float(rewards.mean())}
-
-
-class RLSearch(SearchStrategy):
-    """Deprecated facade — use ``get_solver("rl")`` / ``run_solver``."""
-
-    name = "RL"
-
-    def __init__(self, *args, batch_size: int = 4, learning_rate: float = 5e-3, **kwargs):
-        warnings.warn(
-            "RLSearch is deprecated; use repro.core.solver.run_solver"
-            "('rl', evaluator, space, ..., batch_size=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(*args, **kwargs)
-        self._solver = RLSolver(
-            self, batch_size=batch_size, learning_rate=learning_rate
-        )
-
-    def run(self) -> SearchResult:
-        return self._solver.run()
-
-    def __getattr__(self, item):
-        solver = self.__dict__.get("_solver")
-        if solver is None:
-            raise AttributeError(item)
-        return getattr(solver, item)

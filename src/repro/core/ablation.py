@@ -8,22 +8,20 @@ AutoMC-MultipleSource     search space restricted to LeGR strategies
 AutoMC-ProgressiveSearch  RL controller instead of the progressive strategy
 ========================  ====================================================
 
-:func:`build_variant` wires a ready-to-run search strategy for one variant
-given an evaluator factory (each variant needs its own evaluator so budgets
-are independent).
+:func:`build_variant` wires a ready-to-run solver for one variant given an
+evaluator factory (each variant needs its own evaluator so budgets are
+independent).
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional
 
-from ..baselines.rl import RLSearch
 from ..knowledge.embedding import EmbeddingConfig, learn_embeddings
 from ..space.strategy import StrategySpace
 from .interface import Evaluator
-from .progressive import ProgressiveConfig, ProgressiveSearch
-from .search import SearchStrategy
+from .progressive import ProgressiveConfig
+from .solver import Solver, make_solver
 
 VARIANTS = (
     "AutoMC",
@@ -43,23 +41,17 @@ def build_variant(
     seed: int = 0,
     embedding_rounds: int = 3,
     progressive_config: Optional[ProgressiveConfig] = None,
-) -> SearchStrategy:
-    """A configured search strategy implementing one §4.5 variant."""
+) -> Solver:
+    """A configured solver implementing one §4.5 variant (``name`` is the variant)."""
     if name not in VARIANTS:
         raise KeyError(f"unknown variant {name!r}; choose from {VARIANTS}")
+    shared = dict(gamma=gamma, budget_hours=budget_hours, max_length=max_length, seed=seed)
 
     if name == "AutoMC-ProgressiveSearch":
-        # Same knowledge, non-progressive RL search.  The facade is the
-        # deprecated *public* entry point; as internal wiring it is exactly
-        # the strategy-state shape the variant harness needs.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            searcher = RLSearch(
-                evaluator, StrategySpace(), gamma=gamma,
-                budget_hours=budget_hours, max_length=max_length, seed=seed,
-            )
-        searcher.name = name
-        return searcher
+        # Same knowledge, non-progressive RL search.
+        solver = make_solver("rl", evaluator, StrategySpace(), **shared)
+        solver.strategy.name = name
+        return solver
 
     from ..knowledge.experience import default_experience
 
@@ -80,10 +72,9 @@ def build_variant(
         config = EmbeddingConfig(rounds=embedding_rounds, seed=seed)
 
     embeddings = learn_embeddings(space, config=config)
-    searcher = ProgressiveSearch(
-        evaluator, space, embeddings, gamma=gamma,
-        budget_hours=budget_hours, max_length=max_length,
-        config=progressive_config, experience=experience, seed=seed,
+    solver = make_solver(
+        "progressive", evaluator, space, embeddings=embeddings,
+        config=progressive_config, experience=experience, **shared,
     )
-    searcher.name = name
-    return searcher
+    solver.strategy.name = name
+    return solver

@@ -12,17 +12,14 @@ value object, which makes it
 
 Models are referenced by registry name (``"resnet20"``) rather than factory
 callables, and datasets are the plain-numpy :class:`SyntheticImageDataset`
-objects — both pickle cleanly.  The legacy per-kwarg constructor style keeps
-working through :func:`coerce_config`, which folds loose kwargs into a config
-and emits a :class:`DeprecationWarning`.
+objects — both pickle cleanly.
 """
 
 from __future__ import annotations
 
 import hashlib
-import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -33,15 +30,6 @@ from ..data.tasks import CompressionTask
 _BACKEND_DEFAULTS: Dict[str, Dict[str, object]] = {
     "surrogate": {"pretrain_epochs": 100.0, "model_cache_size": 32},
     "training": {"pretrain_epochs": 2.0, "model_cache_size": 16},
-}
-
-#: legacy kwargs each backend accepted before the config consolidation
-LEGACY_KEYS: Dict[str, Tuple[str, ...]] = {
-    "surrogate": (
-        "pretrain_epochs", "data_fraction", "seed", "model_cache_size", "lint_schemes",
-    ),
-    "training": ("pretrain_epochs", "seed", "model_cache_size", "lint_schemes"),
-    "base": ("seed", "model_cache_size", "lint_schemes"),
 }
 
 
@@ -206,36 +194,3 @@ def dataset_digest(dataset) -> str:
     digest.update(np.ascontiguousarray(dataset.images).tobytes())
     digest.update(np.ascontiguousarray(dataset.labels).tobytes())
     return digest.hexdigest()
-
-
-def coerce_config(
-    backend: str,
-    config: Optional[EvaluatorConfig],
-    legacy: Dict[str, object],
-) -> EvaluatorConfig:
-    """Resolve the (config, legacy kwargs) pair an evaluator was called with.
-
-    Loose kwargs still work but are deprecated: they are folded into an
-    :class:`EvaluatorConfig` with a :class:`DeprecationWarning`.  Mixing both
-    styles is rejected so there is exactly one source of truth.
-    """
-    allowed = LEGACY_KEYS[backend]
-    unknown = sorted(set(legacy) - set(allowed))
-    if unknown:
-        raise TypeError(f"unexpected evaluator arguments: {', '.join(unknown)}")
-    if legacy:
-        if config is not None:
-            raise TypeError(
-                "pass either config=EvaluatorConfig(...) or legacy kwargs, not both"
-            )
-        warnings.warn(
-            f"passing {sorted(legacy)} as loose kwargs is deprecated; "
-            "use config=EvaluatorConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        config = EvaluatorConfig(**legacy)  # type: ignore[arg-type]
-    if config is None:
-        config = EvaluatorConfig()
-    # The bare base class shares the training backend's defaults (cache 16).
-    return config.resolved("training" if backend == "base" else backend)

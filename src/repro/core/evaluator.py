@@ -54,7 +54,7 @@ from ..nn import Module, Trainer, evaluate_accuracy, profile_model
 from ..obs import NULL_TRACER
 from ..sim.accuracy import AccuracyModel
 from ..space.scheme import CompressionScheme
-from .config import EvaluatorConfig, coerce_config
+from .config import EvaluatorConfig
 from .snapshots import ModelSnapshot, ModelSnapshotStore
 
 #: simulated GPU-hours per (epoch x GFLOP x full-dataset) of training
@@ -134,16 +134,22 @@ class EvaluationResult:
 class SchemeEvaluator:
     """Shared caching / cost-accounting base for both backends."""
 
-    _BACKEND = "base"
+    #: backend whose config defaults apply; the bare base class shares the
+    #: training backend's (cache 16)
+    _BACKEND = "training"
+    # Set by each backend's constructor; the replay loop reads them.
+    _base_model: Module
+    _input_shape: Tuple[int, int, int]
+    base_params: int
+    base_flops: int
+    base_accuracy: float
 
     def __init__(
         self,
         task: CompressionTask,
         config: Optional[EvaluatorConfig] = None,
-        **legacy,
     ):
-        if config is None or legacy:
-            config = coerce_config(self._BACKEND, config, legacy)
+        config = (config or EvaluatorConfig()).resolved(self._BACKEND)
         if task is not None and config.task is None:
             config = replace(config, task=task)
         self.config = config
@@ -623,7 +629,77 @@ class SchemeEvaluator:
         mask = pareto_mask(points)
         return [r for r, keep in zip(candidates, mask) if keep]
 
-    def _evaluate(self, scheme: CompressionScheme) -> EvaluationResult:  # pragma: no cover
+    # -- the prefix-replay loop -------------------------------------------
+    def _evaluate(self, scheme: CompressionScheme) -> EvaluationResult:
+        """Execute ``scheme``, resuming from its longest cached prefix.
+
+        The one replay loop both backends share.  They differ only in two
+        hooks: :meth:`_apply_step` runs one strategy (its execution context,
+        step cost and carried accuracy), and :meth:`_initial_accuracy` /
+        :meth:`_final_accuracy` are the accuracy source at either end.
+        """
+        prefix_len, snapshot = self._longest_cached_prefix(scheme)
+        if snapshot is not None:
+            model = copy.deepcopy(snapshot.model)
+            carried = snapshot.accuracy
+            reports = list(snapshot.step_reports)
+            step_costs = list(snapshot.step_costs)
+        else:
+            model = copy.deepcopy(self._base_model)
+            carried = self._initial_accuracy()
+            reports, step_costs = [], []
+
+        snapshotting = self.snapshot_store is not None
+        for position in range(prefix_len, scheme.length):
+            report, step_cost, carried = self._apply_step(model, scheme, position, carried)
+            self.steps_executed += 1
+            reports.append(report)
+            step_costs.append(step_cost)
+            if snapshotting and position + 1 < scheme.length:
+                # Snapshot the intermediate prefix so siblings (this process
+                # or any worker sharing the store) resume instead of replay.
+                self._cache_model(
+                    scheme.prefix(position + 1).identifier,
+                    copy.deepcopy(model),
+                    carried,
+                    reports,
+                    step_costs,
+                )
+
+        profile = profile_model(model, self._input_shape)
+        accuracy, carried = self._final_accuracy(model, carried)
+        if not scheme.is_empty:
+            self._cache_model(scheme.identifier, model, carried, reports, step_costs)
+        latency_ms, ws_peak = self._measure_latency(model)
+        return EvaluationResult(
+            scheme=scheme,
+            params=profile.params,
+            flops=profile.flops,
+            accuracy=accuracy,
+            base_params=self.base_params,
+            base_flops=self.base_flops,
+            base_accuracy=self.base_accuracy,
+            cost=self._charge(scheme, step_costs),
+            step_reports=reports,
+            step_costs=step_costs,
+            latency_ms=latency_ms,
+            workspace_bytes_peak=ws_peak,
+        )
+
+    def _apply_step(
+        self, model: Module, scheme: CompressionScheme, position: int, accuracy: float
+    ) -> Tuple[StepReport, float, float]:  # pragma: no cover
+        """Run strategy ``position`` on ``model``: ``(report, cost, carried accuracy)``."""
+        raise NotImplementedError
+
+    def _initial_accuracy(self) -> float:  # pragma: no cover
+        """Carried accuracy of the uncompressed base model."""
+        raise NotImplementedError
+
+    def _final_accuracy(
+        self, model: Module, carried: float
+    ) -> Tuple[float, float]:  # pragma: no cover
+        """``(result accuracy fraction, accuracy the scheme's snapshot carries)``."""
         raise NotImplementedError
 
 
@@ -645,10 +721,12 @@ class TrainingEvaluator(SchemeEvaluator):
         config: Optional[EvaluatorConfig] = None,
         trainer: Optional[Trainer] = None,
         task: Optional[CompressionTask] = None,
-        **legacy,
     ):
-        config = coerce_config(self._BACKEND, config, legacy)
-        config = replace(config, backend="training", train_data=train_data, val_data=val_data)
+        config = replace(
+            (config or EvaluatorConfig()).resolved(self._BACKEND),
+            train_data=train_data,
+            val_data=val_data,
+        )
         if isinstance(model_factory, str):
             from ..models import create_model
 
@@ -678,65 +756,31 @@ class TrainingEvaluator(SchemeEvaluator):
             task = task_from_dataset(train_data, base_model, "custom", self.base_accuracy)
         super().__init__(task, config=replace(config, task=task))
 
-    def _evaluate(self, scheme: CompressionScheme) -> EvaluationResult:
-        prefix_len, snapshot = self._longest_cached_prefix(scheme)
-        if snapshot is not None:
-            model = copy.deepcopy(snapshot.model)
-            reports = list(snapshot.step_reports)
-            step_costs = list(snapshot.step_costs)
-        else:
-            model = copy.deepcopy(self._base_model)
-            reports, step_costs = [], []
-
-        snapshotting = self.snapshot_store is not None
-        for position in range(prefix_len, scheme.length):
-            strategy = scheme.strategies[position]
-            ctx = ExecutionContext(
-                original_params=self.base_params,
-                pretrain_epochs=self.pretrain_epochs,
-                dataset=self.train_data,
-                val_dataset=self.val_data,
-                trainer=self.trainer,
-                train_enabled=True,
-                seed=self.seed + stable_hash(scheme.prefix(position + 1).identifier) % 10_000,
-            )
-            report = strategy.method.apply(model, strategy.hp, ctx)
-            self.steps_executed += 1
-            reports.append(report)
-            profile = profile_model(model, self._input_shape)
-            step_costs.append(_step_cost(report, profile.flops / 1e9, 1.0))
-            if snapshotting and position + 1 < scheme.length:
-                # Snapshot the intermediate prefix so siblings (this process
-                # or any worker sharing the store) resume instead of replay.
-                # The training backend re-measures accuracy from the model on
-                # every evaluation, so the carried value is unused (0.0).
-                self._cache_model(
-                    scheme.prefix(position + 1).identifier,
-                    copy.deepcopy(model),
-                    0.0,
-                    reports,
-                    step_costs,
-                )
-
-        profile = profile_model(model, self._input_shape)
-        accuracy = evaluate_accuracy(model, self.val_data)
-        if not scheme.is_empty:
-            self._cache_model(scheme.identifier, model, accuracy, reports, step_costs)
-        latency_ms, ws_peak = self._measure_latency(model)
-        return EvaluationResult(
-            scheme=scheme,
-            params=profile.params,
-            flops=profile.flops,
-            accuracy=accuracy,
-            base_params=self.base_params,
-            base_flops=self.base_flops,
-            base_accuracy=self.base_accuracy,
-            cost=self._charge(scheme, step_costs),
-            step_reports=reports,
-            step_costs=step_costs,
-            latency_ms=latency_ms,
-            workspace_bytes_peak=ws_peak,
+    def _apply_step(
+        self, model: Module, scheme: CompressionScheme, position: int, accuracy: float
+    ) -> Tuple[StepReport, float, float]:
+        strategy = scheme.strategies[position]
+        ctx = ExecutionContext(
+            original_params=self.base_params,
+            pretrain_epochs=self.pretrain_epochs,
+            dataset=self.train_data,
+            val_dataset=self.val_data,
+            trainer=self.trainer,
+            train_enabled=True,
+            seed=self.seed + stable_hash(scheme.prefix(position + 1).identifier) % 10_000,
         )
+        report = strategy.method.apply(model, strategy.hp, ctx)
+        profile = profile_model(model, self._input_shape)
+        return report, _step_cost(report, profile.flops / 1e9, 1.0), accuracy
+
+    # Accuracy is re-measured from the model on every evaluation, so nothing
+    # is carried between steps (intermediate snapshots hold 0.0).
+    def _initial_accuracy(self) -> float:
+        return 0.0
+
+    def _final_accuracy(self, model: Module, carried: float) -> Tuple[float, float]:
+        accuracy = evaluate_accuracy(model, self.val_data)
+        return accuracy, accuracy
 
 
 class SurrogateEvaluator(SchemeEvaluator):
@@ -751,12 +795,10 @@ class SurrogateEvaluator(SchemeEvaluator):
         dataset_name: str,
         task: CompressionTask,
         config: Optional[EvaluatorConfig] = None,
-        **legacy,
     ):
-        config = coerce_config(self._BACKEND, config, legacy)
+        config = (config or EvaluatorConfig()).resolved(self._BACKEND)
         config = replace(
             config,
-            backend="surrogate",
             model_name=config.model_name or model_name,
             dataset_name=dataset_name,
             task=task,
@@ -776,80 +818,47 @@ class SurrogateEvaluator(SchemeEvaluator):
         self.base_flops = base_profile.flops
         self.base_accuracy = self.accuracy_model.baseline / 100.0
 
-    def _evaluate(self, scheme: CompressionScheme) -> EvaluationResult:
-        prefix_len, snapshot = self._longest_cached_prefix(scheme)
-        if snapshot is not None:
-            model = copy.deepcopy(snapshot.model)
-            accuracy_pct = snapshot.accuracy
-            reports = list(snapshot.step_reports)
-            step_costs = list(snapshot.step_costs)
-        else:
-            model = copy.deepcopy(self._base_model)
-            accuracy_pct = self.accuracy_model.baseline
-            reports, step_costs = [], []
-
-        snapshotting = self.snapshot_store is not None
-        for position in range(prefix_len, scheme.length):
-            strategy = scheme.strategies[position]
-            sub_scheme = scheme.prefix(position + 1)
-            ctx = ExecutionContext(
-                original_params=self.base_params,
-                pretrain_epochs=self.pretrain_epochs,
-                train_enabled=False,
-                seed=self.seed + stable_hash(sub_scheme.identifier) % 100_000,
-            )
-            params_before = model.num_parameters()
-            report = strategy.method.apply(model, strategy.hp, ctx)
-            reports.append(report)
-            params_after = model.num_parameters()
-
-            pr_before = (self.base_params - params_before) / self.base_params
-            pr_after = (self.base_params - params_after) / self.base_params
-            ft_norm = float(strategy.hp.get("HP1", strategy.hp.get("HP9", 0.0)))
-            step_rng = np.random.default_rng(
-                (self.seed * 1_000_003 + stable_hash(sub_scheme.identifier)) % (2 ** 63)
-            )
-            accuracy_pct, _ = self.accuracy_model.step(
-                accuracy_pct,
-                pr_before,
-                pr_after,
-                strategy.method_label,
-                strategy.hp,
-                ft_norm,
-                previous_methods=tuple(
-                    s.method_label for s in scheme.strategies[:position]
-                ),
-                rng=step_rng,
-            )
-            # Cost proxy: training FLOPs scale roughly with the remaining
-            # parameter fraction (avoids a full profiling forward per step).
-            flops_g = (self.base_flops / 1e9) * (params_after / self.base_params)
-            step_costs.append(_step_cost(report, flops_g, self.data_fraction))
-            self.steps_executed += 1
-            if snapshotting and position + 1 < scheme.length:
-                self._cache_model(
-                    sub_scheme.identifier,
-                    copy.deepcopy(model),
-                    accuracy_pct,
-                    reports,
-                    step_costs,
-                )
-
-        profile = profile_model(model, self._input_shape)
-        if not scheme.is_empty:
-            self._cache_model(scheme.identifier, model, accuracy_pct, reports, step_costs)
-        latency_ms, ws_peak = self._measure_latency(model)
-        return EvaluationResult(
-            scheme=scheme,
-            params=profile.params,
-            flops=profile.flops,
-            accuracy=accuracy_pct / 100.0,
-            base_params=self.base_params,
-            base_flops=self.base_flops,
-            base_accuracy=self.base_accuracy,
-            cost=self._charge(scheme, step_costs),
-            step_reports=reports,
-            step_costs=step_costs,
-            latency_ms=latency_ms,
-            workspace_bytes_peak=ws_peak,
+    def _apply_step(
+        self, model: Module, scheme: CompressionScheme, position: int, accuracy: float
+    ) -> Tuple[StepReport, float, float]:
+        strategy = scheme.strategies[position]
+        sub_scheme = scheme.prefix(position + 1)
+        ctx = ExecutionContext(
+            original_params=self.base_params,
+            pretrain_epochs=self.pretrain_epochs,
+            train_enabled=False,
+            seed=self.seed + stable_hash(sub_scheme.identifier) % 100_000,
         )
+        params_before = model.num_parameters()
+        report = strategy.method.apply(model, strategy.hp, ctx)
+        params_after = model.num_parameters()
+
+        pr_before = (self.base_params - params_before) / self.base_params
+        pr_after = (self.base_params - params_after) / self.base_params
+        ft_norm = float(strategy.hp.get("HP1", strategy.hp.get("HP9", 0.0)))
+        step_rng = np.random.default_rng(
+            (self.seed * 1_000_003 + stable_hash(sub_scheme.identifier)) % (2 ** 63)
+        )
+        accuracy, _ = self.accuracy_model.step(
+            accuracy,
+            pr_before,
+            pr_after,
+            strategy.method_label,
+            strategy.hp,
+            ft_norm,
+            previous_methods=tuple(
+                step.method_label for step in scheme.strategies[:position]
+            ),
+            rng=step_rng,
+        )
+        # Cost proxy: training FLOPs scale roughly with the remaining
+        # parameter fraction (avoids a full profiling forward per step).
+        flops_g = (self.base_flops / 1e9) * (params_after / self.base_params)
+        return report, _step_cost(report, flops_g, self.data_fraction), accuracy
+
+    # The surrogate carries accuracy in percent, snapshots included.
+    def _initial_accuracy(self) -> float:
+        return self.accuracy_model.baseline
+
+    def _final_accuracy(self, model: Module, carried: float) -> Tuple[float, float]:
+        return carried / 100.0, carried

@@ -17,6 +17,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..analysis.linter import QUANTIZING_METHODS
 from ..obs import NULL_TRACER
 from ..space.scheme import CompressionScheme
 from ..space.strategy import StrategySpace
@@ -285,13 +286,22 @@ class SearchStrategy:
 
     # ------------------------------------------------------------------ #
     def random_scheme(self, max_pr: float = 0.9) -> CompressionScheme:
-        """A random scheme of length 1..max_length within the nominal budget."""
+        """A random scheme of length 1..max_length within the nominal budget.
+
+        Draws that would overshoot the budget or quantize a second time (the
+        linter's L009) are skipped, up to 20 tries per step.
+        """
         length = int(self.rng.integers(1, self.max_length + 1))
         scheme = CompressionScheme()
+        quantized = False
         for _ in range(length):
             for _ in range(20):
                 strategy = self.space[int(self.rng.integers(0, len(self.space)))]
+                quantizing = strategy.method_label in QUANTIZING_METHODS
+                if quantized and quantizing:
+                    continue
                 if scheme.total_param_step + strategy.param_step <= max_pr:
                     scheme = scheme.extend(strategy)
+                    quantized = quantized or quantizing
                     break
         return scheme

@@ -158,13 +158,18 @@ class Solver:
         self.strategy = strategy
         strategy.solver_name = self.solver_name
         if type(strategy) is SearchStrategy:
-            # Strategy subclasses (the deprecated shims) keep their own
-            # display name; a bare state machine adopts the solver's label.
+            # Strategy subclasses (the ProgressiveSearch facade) keep their
+            # own display name; a bare state machine adopts the solver's label.
             strategy.name = self.label
         #: extra attributes for the current round's journal span
         self._round_attrs: Dict[str, object] = {}
 
     # -- convenience proxies into the shared strategy state ---------------- #
+    @property
+    def name(self) -> str:
+        """Display name (``SearchResult.algorithm``)."""
+        return self.strategy.name
+
     @property
     def rng(self):
         return self.strategy.rng

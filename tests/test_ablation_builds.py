@@ -2,6 +2,7 @@
 
 
 from repro.core.ablation import VARIANTS, build_variant
+from repro.core.config import EvaluatorConfig
 from repro.core.evaluator import SurrogateEvaluator
 from repro.data.tasks import EXP1, transfer_task
 from repro.models import resnet20
@@ -10,7 +11,8 @@ from repro.models import resnet20
 def _evaluator():
     task = transfer_task(EXP1, "resnet20", 0.27, 0.08, EXP1.model_accuracy)
     return SurrogateEvaluator(
-        lambda: resnet20(num_classes=10), "resnet20", "cifar10", task, seed=0
+        lambda: resnet20(num_classes=10), "resnet20", "cifar10", task,
+        config=EvaluatorConfig(seed=0),
     )
 
 

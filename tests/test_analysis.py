@@ -39,6 +39,7 @@ from repro.compression.surgery import (
     shrink_input,
     shrink_output,
 )
+from repro.core.config import EvaluatorConfig
 from repro.core.evaluator import SchemeEvaluator
 from repro.models import available_models, create_model, resnet8, vgg8_tiny
 from repro.nn import Conv2d, Flatten, Linear, Module, Sequential, Tensor, Trainer
@@ -303,7 +304,7 @@ class TestEvaluatorLintIntegration:
         assert excinfo.value.scheme.identifier in evaluator.rejected
 
     def test_lint_disabled_skips_rejection(self):
-        evaluator = _NeverEvaluates(task=None, lint_schemes=False)
+        evaluator = _NeverEvaluates(task=None, config=EvaluatorConfig(lint_schemes=False))
         c7 = _strategy("C7")
         with pytest.raises(AssertionError):
             evaluator.evaluate(_scheme(c7, c7))

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.baselines.evolution import EvolutionSearch
-from repro.baselines.rl import ControllerRNN, RLSearch
+from repro.baselines.evolution import EvolutionSolver
+from repro.baselines.rl import ControllerRNN
+from repro.core.config import EvaluatorConfig
 from repro.core.evaluator import SurrogateEvaluator
+from repro.core.solver import make_solver
 from repro.data.tasks import EXP1, transfer_task
 from repro.models import resnet20
 from repro.nn import Tensor
@@ -16,26 +18,27 @@ from repro.space.hyperparams import HP_GRID, METHOD_HPS
 def _evaluator(seed=0):
     task = transfer_task(EXP1, "resnet20", 0.27, 0.08, EXP1.model_accuracy)
     return SurrogateEvaluator(
-        lambda: resnet20(num_classes=10), "resnet20", "cifar10", task, seed=seed
+        lambda: resnet20(num_classes=10), "resnet20", "cifar10", task,
+        config=EvaluatorConfig(seed=seed),
     )
 
 
 @pytest.fixture()
 def evolution():
     space = StrategySpace(method_labels=["C3", "C4"])
-    return EvolutionSearch(_evaluator(), space, gamma=0.2, budget_hours=0.1, seed=0)
+    return make_solver("evolution", _evaluator(), space, gamma=0.2, budget_hours=0.1, seed=0)
 
 
 class TestEvolutionOperators:
     def test_mutation_stays_valid(self, evolution):
-        scheme = evolution.random_scheme()
+        scheme = evolution.strategy.random_scheme()
         for _ in range(30):
             scheme = evolution._mutate(scheme)
             assert 1 <= scheme.length <= evolution.max_length
             assert scheme.total_param_step <= 0.9 + 1e-9
 
     def test_mutation_changes_something_usually(self, evolution):
-        scheme = evolution.random_scheme()
+        scheme = evolution.strategy.random_scheme()
         changed = sum(
             evolution._mutate(scheme).identifier != scheme.identifier
             for _ in range(20)
@@ -43,15 +46,15 @@ class TestEvolutionOperators:
         assert changed >= 10
 
     def test_crossover_child_within_bounds(self, evolution):
-        a = evolution.random_scheme()
-        b = evolution.random_scheme()
+        a = evolution.strategy.random_scheme()
+        b = evolution.strategy.random_scheme()
         for _ in range(20):
             child = evolution._crossover(a, b)
             assert 1 <= child.length <= evolution.max_length
             assert child.total_param_step <= 0.9 + 1e-9
 
     def test_environmental_selection_prefers_nondominated(self, evolution):
-        schemes = [evolution.random_scheme() for _ in range(6)]
+        schemes = [evolution.strategy.random_scheme() for _ in range(6)]
         # Construct points where index 0 dominates everything.
         points = np.array([[0.1 * i, 0.1 * i] for i in range(6)])[::-1]
         survivors = evolution._environmental_selection(schemes, points)
@@ -59,8 +62,8 @@ class TestEvolutionOperators:
 
     def test_beats_prefers_dominating_point(self):
         points = np.array([[1.0, 1.0], [0.0, 0.0]])
-        assert EvolutionSearch._beats(points, 0, 1)
-        assert not EvolutionSearch._beats(points, 1, 0)
+        assert EvolutionSolver._beats(points, 0, 1)
+        assert not EvolutionSolver._beats(points, 1, 0)
 
 
 class TestControllerRNN:
@@ -92,7 +95,7 @@ class TestControllerRNN:
 class TestRLSampling:
     def test_sampled_schemes_valid(self):
         space = StrategySpace()
-        searcher = RLSearch(_evaluator(), space, gamma=0.3, budget_hours=0.1, seed=0)
+        searcher = make_solver("rl", _evaluator(), space, gamma=0.3, budget_hours=0.1, seed=0)
         for _ in range(10):
             scheme, log_probs = searcher._sample_scheme()
             assert scheme.length <= searcher.max_length
@@ -105,7 +108,7 @@ class TestRLSampling:
 
     def test_reward_penalises_missing_target(self):
         space = StrategySpace(method_labels=["C3"])
-        searcher = RLSearch(_evaluator(), space, gamma=0.3, budget_hours=0.1, seed=0)
+        searcher = make_solver("rl", _evaluator(), space, gamma=0.3, budget_hours=0.1, seed=0)
 
         class FakeResult:
             ar = 0.0

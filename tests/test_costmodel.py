@@ -275,21 +275,21 @@ def test_search_strategy_feasible_counter():
 
 
 def test_random_search_prunes_statically(tmp_path):
-    """RandomSearch under a budget: pruning is free and journaled."""
-    from repro.baselines import RandomSearch
+    """Random search under a budget: pruning is free and journaled."""
+    from repro.core.solver import make_solver
     from repro.obs import RunJournal, Tracer, attach_tracer
 
     journal = tmp_path / "run.jsonl"
     evaluator = make_evaluator(budget=Budget(max_params=130_000))
     tracer = Tracer(journal=RunJournal(str(journal)))
     attach_tracer(evaluator, tracer)
-    searcher = RandomSearch(
-        evaluator, StrategySpace(), gamma=0.3, budget_hours=1.0, seed=3
+    solver = make_solver(
+        "random", evaluator, StrategySpace(), gamma=0.3, budget_hours=1.0, seed=3
     )
-    result = searcher.run()
+    result = solver.run()
     tracer.close()
-    assert searcher.budget_pruned > 0
-    assert evaluator.budget_filtered == searcher.budget_pruned
+    assert solver.strategy.budget_pruned > 0
+    assert evaluator.budget_filtered == solver.strategy.budget_pruned
     for r in result.all_results:
         assert r.params <= 130_000
     text = journal.read_text()

@@ -2,7 +2,7 @@
 
 Covers the PR's acceptance criteria: serial-vs-parallel bit-identity on both
 backends, warm-cache runs paying zero simulated hours for seen schemes,
-fingerprint-mismatch cache misses, the `EvaluatorConfig` deprecation shim,
+fingerprint-mismatch cache misses, `EvaluatorConfig` construction,
 and PYTHONHASHSEED-independence of evaluation results.
 """
 
@@ -10,7 +10,6 @@ import json
 import os
 import subprocess
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -254,49 +253,22 @@ class TestEvaluatorProtocol:
     def test_workers_require_buildable_config(self):
         train = tiny_dataset(num_classes=4, num_samples=32, image_size=8, seed=1)
         val = tiny_dataset(num_classes=4, num_samples=16, image_size=8, seed=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            opaque = TrainingEvaluator(
-                lambda: create_model("resnet8", num_classes=4), train, val,
-                pretrain_epochs=0.5,
-            )
+        opaque = TrainingEvaluator(
+            lambda: create_model("resnet8", num_classes=4), train, val,
+            config=EvaluatorConfig(pretrain_epochs=0.5),
+        )
         with pytest.raises(ValueError):
             EvaluationEngine(opaque, workers=2)
         EvaluationEngine(opaque, workers=0)  # serial is always fine
 
 
 class TestConfigShim:
-    def test_legacy_kwargs_warn_and_work(self):
-        with pytest.warns(DeprecationWarning):
-            evaluator = SurrogateEvaluator(
-                lambda: resnet20(num_classes=10), "resnet20", "cifar10", TASK,
-                seed=7, data_fraction=0.2,
-            )
-        assert evaluator.seed == 7
-        assert evaluator.data_fraction == 0.2
-
-    def test_mixing_config_and_legacy_raises(self):
-        with pytest.raises(TypeError):
-            SurrogateEvaluator(
-                lambda: resnet20(num_classes=10), "resnet20", "cifar10", TASK,
-                config=EvaluatorConfig(), seed=7,
-            )
-
     def test_unknown_kwarg_raises(self):
         with pytest.raises(TypeError):
             SurrogateEvaluator(
                 lambda: resnet20(num_classes=10), "resnet20", "cifar10", TASK,
                 nonsense=1,
             )
-
-    def test_config_and_legacy_paths_agree(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = SurrogateEvaluator(
-                lambda: resnet20(num_classes=10), "resnet20", "cifar10", TASK, seed=3
-            )
-        modern = make_surrogate(seed=3)
-        assert legacy.fingerprint() == modern.fingerprint()
 
     def test_backend_defaults_resolved(self):
         config = EvaluatorConfig().resolved("surrogate")

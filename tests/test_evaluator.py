@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.config import EvaluatorConfig
 from repro.core.evaluator import (
     EVAL_OVERHEAD_HOURS,
     SurrogateEvaluator,
@@ -17,7 +18,8 @@ from repro.space import START, StrategySpace
 def surrogate():
     task = transfer_task(EXP1, "resnet20", 0.27, 0.08, EXP1.model_accuracy)
     return SurrogateEvaluator(
-        lambda: resnet20(num_classes=10), "resnet20", "cifar10", task, seed=0
+        lambda: resnet20(num_classes=10), "resnet20", "cifar10", task,
+        config=EvaluatorConfig(seed=0),
     )
 
 
@@ -69,7 +71,8 @@ class TestSurrogateEvaluator:
         results = []
         for _ in range(2):
             ev = SurrogateEvaluator(
-                lambda: resnet20(num_classes=10), "resnet20", "cifar10", task, seed=3
+                lambda: resnet20(num_classes=10), "resnet20", "cifar10", task,
+                config=EvaluatorConfig(seed=3),
             )
             results.append(ev.evaluate(scheme))
         assert results[0].accuracy == results[1].accuracy
@@ -104,8 +107,7 @@ class TestTrainingEvaluator:
             lambda: resnet8(num_classes=4),
             train,
             val,
-            pretrain_epochs=3,
-            seed=0,
+            config=EvaluatorConfig(pretrain_epochs=3, seed=0),
         )
 
     def test_base_accuracy_above_chance(self, trainer_eval):

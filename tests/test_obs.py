@@ -370,17 +370,16 @@ def _make_automc(**kwargs):
 # --------------------------------------------------------------------------- #
 class TestSearchIntegration:
     def test_random_search_journal_matches_total_cost(self, tmp_path):
-        from repro.baselines import RandomSearch
+        from repro.core.solver import run_solver
         from repro.space import StrategySpace
 
         path = tmp_path / "run.jsonl"
         tracer = Tracer(journal=RunJournal(path, run={"algorithm": "Random"}))
         evaluator = make_surrogate()
         attach_tracer(evaluator, tracer)
-        searcher = RandomSearch(
-            evaluator, StrategySpace(), gamma=0.3, budget_hours=0.15, seed=0
+        result = run_solver(
+            "random", evaluator, StrategySpace(), gamma=0.3, budget_hours=0.15, seed=0
         )
-        result = searcher.run()
         tracer.close()
 
         summary = summarize_journal(path)
@@ -394,14 +393,13 @@ class TestSearchIntegration:
         assert result.obs["counters"]["span.evaluate"] == result.evaluations
 
     def test_untraced_search_has_no_obs_payload(self):
-        from repro.baselines import RandomSearch
+        from repro.core.solver import run_solver
         from repro.space import StrategySpace
 
         evaluator = make_surrogate()
-        searcher = RandomSearch(
-            evaluator, StrategySpace(), gamma=0.3, budget_hours=0.1, seed=0
+        result = run_solver(
+            "random", evaluator, StrategySpace(), gamma=0.3, budget_hours=0.1, seed=0
         )
-        result = searcher.run()
         assert result.obs is None
         assert result.wall_seconds > 0.0
 

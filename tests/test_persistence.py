@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.core.config import EvaluatorConfig
 from repro.core.evaluator import SurrogateEvaluator
 from repro.data.tasks import EXP1, transfer_task
 from repro.experiments.export import (
@@ -96,7 +97,8 @@ class TestJsonExport:
     def test_result_export_fields(self, space):
         task = transfer_task(EXP1, "resnet20", 0.27, 0.08, EXP1.model_accuracy)
         evaluator = SurrogateEvaluator(
-            lambda: resnet20(num_classes=10), "resnet20", "cifar10", task, seed=0
+            lambda: resnet20(num_classes=10), "resnet20", "cifar10", task,
+            config=EvaluatorConfig(seed=0),
         )
         result = evaluator.evaluate(START.extend(space.of_method("C3")[0]))
         payload = result_to_dict(result)
@@ -109,16 +111,17 @@ class TestJsonExport:
         assert result_to_dict(None) is None
 
     def test_search_export(self, space):
-        from repro.baselines import RandomSearch
+        from repro.core.solver import run_solver
 
         task = transfer_task(EXP1, "resnet20", 0.27, 0.08, EXP1.model_accuracy)
         evaluator = SurrogateEvaluator(
-            lambda: resnet20(num_classes=10), "resnet20", "cifar10", task, seed=0
+            lambda: resnet20(num_classes=10), "resnet20", "cifar10", task,
+            config=EvaluatorConfig(seed=0),
         )
-        search = RandomSearch(
-            evaluator, StrategySpace(method_labels=["C3"]),
+        search = run_solver(
+            "random", evaluator, StrategySpace(method_labels=["C3"]),
             gamma=0.2, budget_hours=0.4, seed=0,
-        ).run()
+        )
         payload = search_to_dict(search)
         assert payload["algorithm"] == "Random"
         assert payload["evaluations"] == search.evaluations

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.config import EvaluatorConfig
 from repro.core.evaluator import SurrogateEvaluator
 from repro.core.progressive import ProgressiveConfig, ProgressiveSearch
 from repro.data.tasks import EXP1, transfer_task
@@ -21,7 +22,8 @@ def searcher():
     )
     task = transfer_task(EXP1, "resnet20", 0.27, 0.08, EXP1.model_accuracy)
     evaluator = SurrogateEvaluator(
-        lambda: resnet20(num_classes=10), "resnet20", "cifar10", task, seed=0
+        lambda: resnet20(num_classes=10), "resnet20", "cifar10", task,
+        config=EvaluatorConfig(seed=0),
     )
     return ProgressiveSearch(
         evaluator, space, embeddings, gamma=0.2, budget_hours=1.2,
@@ -88,7 +90,8 @@ class TestWarmStart:
         )
         task = transfer_task(EXP1, "resnet20", 0.27, 0.08, EXP1.model_accuracy)
         evaluator = SurrogateEvaluator(
-            lambda: resnet20(num_classes=10), "resnet20", "cifar10", task, seed=0
+            lambda: resnet20(num_classes=10), "resnet20", "cifar10", task,
+            config=EvaluatorConfig(seed=0),
         )
         searcher = ProgressiveSearch(
             evaluator, space, embeddings, gamma=0.3, budget_hours=0.1,
@@ -108,7 +111,8 @@ class TestConfigToggles:
         )
         task = transfer_task(EXP1, "resnet20", 0.27, 0.08, EXP1.model_accuracy)
         evaluator = SurrogateEvaluator(
-            lambda: resnet20(num_classes=10), "resnet20", "cifar10", task, seed=0
+            lambda: resnet20(num_classes=10), "resnet20", "cifar10", task,
+            config=EvaluatorConfig(seed=0),
         )
         config = ProgressiveConfig(
             sample_size=2, evals_per_round=2, candidate_subsample=20,

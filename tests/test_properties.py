@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import EvaluatorConfig
 from repro.core.evaluator import SurrogateEvaluator
 from repro.data.tasks import EXP1, transfer_task
 from repro.models import resnet20
@@ -23,7 +24,7 @@ def _evaluator() -> SurrogateEvaluator:
         task = transfer_task(EXP1, "resnet20", 0.27, 0.08, EXP1.model_accuracy)
         _EVALUATOR = SurrogateEvaluator(
             lambda: resnet20(num_classes=10), "resnet20", "cifar10", task,
-            seed=0, model_cache_size=64,
+            config=EvaluatorConfig(seed=0, model_cache_size=64),
         )
     return _EVALUATOR
 

@@ -19,9 +19,9 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.costmodel import Budget
-from repro.baselines import RandomSearch
-from repro.core.evaluator import SurrogateEvaluator
 from repro.core.config import EvaluatorConfig
+from repro.core.evaluator import SurrogateEvaluator
+from repro.core.solver import run_solver
 from repro.data.tasks import EXP1, transfer_task
 from repro.experiments.common import EXPERIMENTS, make_evaluator
 from repro.models import resnet20
@@ -115,9 +115,9 @@ class TestComposedSearch:
     def test_random_search_composes_pruning_with_quantization(self):
         space = StrategySpace(method_labels=["C3", "C8"])
         evaluator = _surrogate(latency_batch=4)
-        result = RandomSearch(
-            evaluator, space, gamma=0.2, budget_hours=1.0, seed=0
-        ).run()
+        result = run_solver(
+            "random", evaluator, space, gamma=0.2, budget_hours=1.0, seed=0
+        )
         assert result.evaluations > 1
         quantized = [
             r for r in result.all_results
@@ -136,11 +136,23 @@ class TestComposedSearch:
     def test_summary_reports_measured_latency(self):
         evaluator = _surrogate(latency_batch=4)
         space = StrategySpace(method_labels=["C3", "C8"])
-        result = RandomSearch(
-            evaluator, space, gamma=0.2, budget_hours=0.5, seed=1
-        ).run()
+        result = run_solver(
+            "random", evaluator, space, gamma=0.2, budget_hours=0.5, seed=1
+        )
         if result.best is not None:
             assert "ms/batch" in result.summary()
+
+    def test_random_search_never_quantizes_twice(self):
+        """A second C8 draw is skipped, not submitted for an L009 rejection."""
+        space = StrategySpace(method_labels=["C3", "C8"], include_quantization=True)
+        evaluator = make_evaluator(*EXPERIMENTS["Exp1"], seed=1)
+        result = run_solver(
+            "random", evaluator, space, gamma=0.3, budget_hours=3.0, max_length=5, seed=1
+        )
+        assert evaluator.rejected_count == 0
+        for r in result.all_results:
+            labels = [s.method_label for s in r.scheme.strategies]
+            assert labels.count("C8") <= 1, r.scheme.identifier
 
 
 # --------------------------------------------------------------------------- #

@@ -6,6 +6,7 @@ import pytest
 
 from repro.compression import METHODS, ExecutionContext
 from repro.compression.surgery import filter_l2_norms, prune_by_scores
+from repro.core.config import EvaluatorConfig
 from repro.core.evaluator import SurrogateEvaluator
 from repro.data.tasks import EXP1, transfer_task
 from repro.models import resnet8, resnet20, vgg8_tiny
@@ -75,7 +76,7 @@ class TestEvaluatorEdgeCases:
         task = transfer_task(EXP1, "resnet20", 0.27, 0.08, EXP1.model_accuracy)
         return SurrogateEvaluator(
             lambda: resnet20(num_classes=10), "resnet20", "cifar10", task,
-            seed=seed, model_cache_size=cache_size,
+            config=EvaluatorConfig(seed=seed, model_cache_size=cache_size),
         )
 
     def test_cache_eviction_keeps_correctness(self):
@@ -120,16 +121,17 @@ class TestEvaluatorEdgeCases:
 
 class TestSearchDeterminism:
     def test_random_search_reproducible(self):
-        from repro.baselines import RandomSearch
+        from repro.core.solver import run_solver
 
         space = StrategySpace(method_labels=["C3", "C4"])
 
         def run(seed):
             task = transfer_task(EXP1, "resnet20", 0.27, 0.08, EXP1.model_accuracy)
             ev = SurrogateEvaluator(
-                lambda: resnet20(num_classes=10), "resnet20", "cifar10", task, seed=0
+                lambda: resnet20(num_classes=10), "resnet20", "cifar10", task,
+                config=EvaluatorConfig(seed=0),
             )
-            return RandomSearch(ev, space, gamma=0.2, budget_hours=0.8, seed=seed).run()
+            return run_solver("random", ev, space, gamma=0.2, budget_hours=0.8, seed=seed)
 
         a = run(11)
         b = run(11)

@@ -7,10 +7,11 @@ mechanics (budget accounting, Pareto outputs, trajectories) quickly.
 import numpy as np
 import pytest
 
-from repro.baselines import EvolutionSearch, RLSearch, RandomSearch
 from repro.core import AutoMC, build_variant
+from repro.core.config import EvaluatorConfig
 from repro.core.evaluator import SurrogateEvaluator
 from repro.core.progressive import ProgressiveConfig, ProgressiveSearch
+from repro.core.solver import make_solver
 from repro.data.tasks import EXP1, transfer_task
 from repro.knowledge.embedding import EmbeddingConfig, StrategyEmbeddings
 from repro.models import resnet20
@@ -35,7 +36,8 @@ def embeddings(small_space):
 def make_evaluator(seed=0):
     task = transfer_task(EXP1, "resnet20", 0.27, 0.08, EXP1.model_accuracy)
     return SurrogateEvaluator(
-        lambda: resnet20(num_classes=10), "resnet20", "cifar10", task, seed=seed
+        lambda: resnet20(num_classes=10), "resnet20", "cifar10", task,
+        config=EvaluatorConfig(seed=seed),
     )
 
 
@@ -99,17 +101,23 @@ class TestProgressiveSearch:
 
 
 class TestBaselines:
-    @pytest.mark.parametrize("cls", [RandomSearch, EvolutionSearch, RLSearch])
-    def test_baseline_runs_and_respects_budget(self, cls, small_space):
-        searcher = cls(make_evaluator(), small_space, gamma=0.2, budget_hours=BUDGET, seed=1)
+    @pytest.mark.parametrize(
+        "name, label",
+        [("random", "Random"), ("evolution", "Evolution"), ("rl", "RL")],
+        ids=["RandomSearch", "EvolutionSearch", "RLSearch"],
+    )
+    def test_baseline_runs_and_respects_budget(self, name, label, small_space):
+        searcher = make_solver(
+            name, make_evaluator(), small_space, gamma=0.2, budget_hours=BUDGET, seed=1
+        )
         result = searcher.run()
         assert result.evaluations >= 1
-        assert result.algorithm == cls.name
+        assert result.algorithm == label
         assert result.trajectory
 
     def test_random_schemes_within_length(self, small_space):
-        searcher = RandomSearch(make_evaluator(), small_space, gamma=0.2,
-                                budget_hours=BUDGET, max_length=3, seed=2)
+        searcher = make_solver("random", make_evaluator(), small_space, gamma=0.2,
+                               budget_hours=BUDGET, max_length=3, seed=2)
         searcher.run()
         assert all(
             r.scheme.length <= 3
@@ -117,23 +125,23 @@ class TestBaselines:
         )
 
     def test_evolution_population_evolves(self, small_space):
-        searcher = EvolutionSearch(
-            make_evaluator(), small_space, gamma=0.2, budget_hours=2.0,
+        searcher = make_solver(
+            "evolution", make_evaluator(), small_space, gamma=0.2, budget_hours=2.0,
             population_size=4, offspring_per_generation=3, seed=3,
         )
         result = searcher.run()
         assert result.evaluations > 4  # at least one generation beyond init
 
     def test_rl_controller_updates(self, small_space):
-        searcher = RLSearch(make_evaluator(), small_space, gamma=0.2,
-                            budget_hours=BUDGET, seed=4, batch_size=2)
+        searcher = make_solver("rl", make_evaluator(), small_space, gamma=0.2,
+                               budget_hours=BUDGET, seed=4, batch_size=2)
         weights_before = searcher.controller.method_head.weight.data.copy()
         searcher.run()
         assert not np.allclose(weights_before, searcher.controller.method_head.weight.data)
 
     def test_summary_text(self, small_space):
-        searcher = RandomSearch(make_evaluator(), small_space, gamma=0.2,
-                                budget_hours=0.5, seed=5)
+        searcher = make_solver("random", make_evaluator(), small_space, gamma=0.2,
+                               budget_hours=0.5, seed=5)
         result = searcher.run()
         assert "Random" in result.summary()
 

@@ -2,23 +2,30 @@
 
 import pytest
 
-from repro.baselines import RandomSearch
+from repro.core.config import EvaluatorConfig
 from repro.core.evaluator import SurrogateEvaluator
 from repro.core.search import SearchStrategy
+from repro.core.solver import make_solver
 from repro.data.tasks import EXP1, transfer_task
 from repro.models import resnet20
 from repro.space import START, StrategySpace
 
 
-def _searcher(budget=0.5, seed=0, space=None):
+def _solver(budget=0.5, seed=0, space=None):
     task = transfer_task(EXP1, "resnet20", 0.27, 0.08, EXP1.model_accuracy)
     evaluator = SurrogateEvaluator(
-        lambda: resnet20(num_classes=10), "resnet20", "cifar10", task, seed=0
+        lambda: resnet20(num_classes=10), "resnet20", "cifar10", task,
+        config=EvaluatorConfig(seed=0),
     )
-    return RandomSearch(
-        evaluator, space or StrategySpace(method_labels=["C3", "C4"]),
+    return make_solver(
+        "random", evaluator, space or StrategySpace(method_labels=["C3", "C4"]),
         gamma=0.2, budget_hours=budget, seed=seed,
     )
+
+
+def _searcher(**kwargs) -> SearchStrategy:
+    """The shared search state behind a random solver."""
+    return _solver(**kwargs).strategy
 
 
 class TestRandomScheme:
@@ -68,7 +75,7 @@ class TestRecord:
 
 class TestFinish:
     def test_finish_collects_everything(self):
-        searcher = _searcher(budget=0.4)
+        searcher = _solver(budget=0.4)
         result = searcher.run()
         assert result.all_results
         assert all(not r.scheme.is_empty for r in result.all_results)

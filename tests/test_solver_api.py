@@ -1,21 +1,18 @@
 """Tests for the unified Solver API (repro.core.solver).
 
 Covers the PR's acceptance criteria: registry round-trip over the whole
-zoo, the deprecated ``*Search`` facades (warning + equivalent results),
-the driver's budget-accounting invariant for every registered solver,
+zoo, the driver's budget-accounting invariant for every registered solver,
 serial-vs-parallel bit-identity through the EvaluationEngine, and seeded
 determinism pins for the three new solvers (``sa``, ``regevo``, ``amc``).
 """
 
 import json
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.analysis.costmodel import Budget
-from repro.baselines import EvolutionSearch, RLSearch, RandomSearch
 from repro.core.engine import EvaluationEngine
 from repro.core.evaluator import SurrogateEvaluator
 from repro.core.progressive import ProgressiveConfig
@@ -128,32 +125,6 @@ class TestRegistry:
             assert result.rounds == 1
         finally:
             SOLVER_REGISTRY.pop("one-shot", None)
-
-
-# --------------------------------------------------------------------------- #
-class TestDeprecatedFacades:
-    @pytest.mark.parametrize("cls", [RandomSearch, EvolutionSearch, RLSearch])
-    def test_facade_warns(self, cls, small_space):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            cls(make_evaluator(), small_space, gamma=0.2, budget_hours=0.3, seed=1)
-
-    def test_facade_matches_registry_run(self, small_space):
-        """Old-style RandomSearch and run_solver('random') are the same run."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old = RandomSearch(
-                make_evaluator(), small_space, gamma=0.2, budget_hours=0.8, seed=7
-            ).run()
-        new = run_solver(
-            "random", make_evaluator(), small_space,
-            gamma=0.2, budget_hours=0.8, seed=7,
-        )
-        assert old.total_cost == new.total_cost
-        assert old.evaluations == new.evaluations
-        assert (
-            [r.scheme.identifier for r in old.pareto]
-            == [r.scheme.identifier for r in new.pareto]
-        )
 
 
 # --------------------------------------------------------------------------- #
