@@ -110,3 +110,117 @@ def test_goldens_file_is_well_formed():
             assert 0.0 <= metrics["accuracy"] <= 1.0
             assert len(metrics["step_costs"]) == identifier.count(" -> ") + 1
             assert metrics["cost"] > 0.0
+
+
+# --------------------------------------------------------------------------- #
+# Kernel goldens: conv2d / avg_pool2d / quant_conv2d / a whole ResNet
+# --------------------------------------------------------------------------- #
+KERNEL_GOLDEN_PATH = Path(__file__).parent / "goldens" / "kernels.json"
+
+#: (n, c, h, w, f, k, stride, padding): stride-1 padded (overlapping tap
+#: scatter), strided padded, pointwise, non-overlapping fast scatter.
+KERNEL_CONV_CASES = [
+    (2, 3, 8, 8, 4, 3, 1, 1),
+    (2, 8, 9, 9, 5, 3, 2, 1),
+    (1, 4, 7, 7, 6, 1, 1, 0),
+    (2, 5, 8, 8, 3, 2, 2, 0),
+]
+
+#: (kernel, stride, size): non-overlapping, overlapping stride 1, strided.
+KERNEL_POOL_CASES = [(2, 2, 8), (3, 1, 7), (3, 2, 9)]
+
+
+def _kernel_outputs() -> dict:
+    """Every pinned kernel array, keyed ``group/case/quantity``."""
+    import numpy as np
+
+    from repro.models import resnet8
+    from repro.nn import Tensor
+    from repro.nn import functional as F
+    from repro.nn.quant import quant_conv2d, quantize_weight
+
+    arrays = {}
+    rng = np.random.default_rng(0)
+    for case in KERNEL_CONV_CASES:
+        n, c, h, w, f, k, stride, padding = case
+        xd = rng.normal(size=(n, c, h, w)).astype(np.float32)
+        wd = rng.normal(size=(f, c, k, k)).astype(np.float32)
+        bd = rng.normal(size=(f,)).astype(np.float32)
+        gd = rng.normal(size=(n, f, (h + 2 * padding - k) // stride + 1,
+                              (w + 2 * padding - k) // stride + 1)).astype(np.float32)
+        for activation in (None, "relu"):
+            x = Tensor(xd.copy(), requires_grad=True)
+            wt = Tensor(wd.copy(), requires_grad=True)
+            b = Tensor(bd.copy(), requires_grad=True)
+            out = F.conv2d(x, wt, b, stride=stride, padding=padding, activation=activation)
+            out.backward(gd)
+            key = "conv2d/" + "x".join(map(str, case)) + f"/{activation or 'linear'}"
+            for name, value in (("out", out.data), ("dx", x.grad), ("dw", wt.grad), ("db", b.grad)):
+                arrays[f"{key}/{name}"] = value
+
+    for kernel, stride, size in KERNEL_POOL_CASES:
+        x = Tensor(rng.normal(size=(2, 3, size, size)).astype(np.float32), requires_grad=True)
+        out = F.avg_pool2d(x, kernel=kernel, stride=stride)
+        out.backward(rng.normal(size=out.shape).astype(np.float32))
+        key = f"avg_pool2d/k{kernel}s{stride}n{size}"
+        arrays[f"{key}/out"] = out.data
+        arrays[f"{key}/dx"] = x.grad
+
+    xd = rng.normal(size=(2, 4, 7, 7)).astype(np.float32)
+    qweight, wscale = quantize_weight(rng.normal(size=(5, 4, 3, 3)).astype(np.float32))
+    qbias = rng.normal(size=(5,)).astype(np.float32)
+    for scale_name, x_scale in (("dynamic", None), ("static", 0.025)):
+        for padding in (0, 1):
+            for stride in (1, 2):
+                out = quant_conv2d(
+                    Tensor(xd), qweight, wscale, qbias, stride, padding,
+                    activation="relu" if stride == 2 else None, x_scale=x_scale,
+                )
+                arrays[f"quant_conv2d/{scale_name}/p{padding}s{stride}/out"] = out.data
+
+    model = resnet8(num_classes=4).eval()
+    logits = model(Tensor(rng.normal(size=(2, 3, 8, 8)).astype(np.float32)))
+    logits.backward(rng.normal(size=logits.shape).astype(np.float32))
+    arrays["resnet8/logits"] = logits.data
+    for i, param in enumerate(model.parameters()):
+        arrays[f"resnet8/grad{i:02d}"] = param.grad
+    # str() of a float32 is its shortest round-trip spelling: exact, and half
+    # the size of the float64 repr.
+    return {
+        key: {
+            "shape": list(value.shape),
+            "values": [float(str(v)) for v in value.astype(np.float32).ravel()],
+        }
+        for key, value in arrays.items()
+    }
+
+
+def _dump_kernel_goldens(goldens: dict) -> str:
+    """One array per line, so a drifting kernel shows up as a readable diff."""
+    lines = [
+        f"  {json.dumps(key)}: {json.dumps(goldens[key], separators=(',', ':'))}"
+        for key in sorted(goldens)
+    ]
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+def test_kernels_match_goldens(update_goldens):
+    """Forward values and gradients of the hot kernels, pinned to
+    ``tests/goldens/kernels.json``.  The tolerance absorbs BLAS differences
+    between machines; regenerating on the machine that wrote the file must
+    leave it byte-identical unless a kernel's arithmetic changed."""
+    import numpy as np
+
+    measured = _kernel_outputs()
+    if update_goldens:
+        KERNEL_GOLDEN_PATH.write_text(_dump_kernel_goldens(measured))
+        pytest.skip("kernel goldens regenerated; review the diff")
+
+    goldens = json.loads(KERNEL_GOLDEN_PATH.read_text())
+    assert set(measured) == set(goldens), "kernel golden set drifted"
+    for key, golden in goldens.items():
+        got = measured[key]
+        assert got["shape"] == golden["shape"], key
+        np.testing.assert_allclose(
+            got["values"], golden["values"], rtol=1e-6, atol=1e-6, err_msg=key
+        )
