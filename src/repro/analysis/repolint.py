@@ -1,6 +1,6 @@
 """Repository-convention linter: AST checks ruff cannot express.
 
-Three rules, each born from a real regression class in this codebase:
+Five rules, each born from a real regression class in this codebase:
 
 R001  builtin ``hash()`` is forbidden in ``src/repro``
       Evaluation fingerprints and cache keys must be reproducible across
@@ -32,18 +32,6 @@ R005  every quantized op needs a FLOPs rule
       appear in ``costmodel.OP_FLOP_RULES`` so abstract predictions cover
       quantized models too.
 
-R006  hot-path kernels must allocate through the workspace arena
-      The plan/workspace layer (:mod:`repro.nn.workspace`) exists so the
-      per-step kernels stop paying the allocator on every call: padded
-      inputs, patch matrices and gradient scratch come from the
-      thread-local arena (``Workspace.request``/``.zeros``) or the
-      ``owned_*`` helpers for arrays that escape the op.  A direct
-      ``np.pad``/``np.zeros``/``np.empty`` (or ``*_like``) inside
-      ``conv2d``/``_im2col``/``_col2im``/``avg_pool2d`` in
-      ``nn/functional.py`` reintroduces exactly the per-call allocation
-      the layer removed — and quietly invalidates the committed
-      ``BENCH_workspace.json`` numbers.
-
 R004  every ``Solver`` subclass must be registered
       Solvers are looked up by name through the registry in
       :mod:`repro.core.solver` (``AutoMC(solver=...)``, ``repro search
@@ -73,17 +61,10 @@ R_RULES = {
     "R003": "registered op missing from costmodel.OP_FLOP_RULES",
     "R004": "Solver subclass without @register_solver",
     "R005": "quantized op missing from costmodel.OP_FLOP_RULES",
-    "R006": "direct numpy allocation in a workspace-managed hot-path kernel",
 }
 
 #: repro.nn modules whose kernels must stay float32-clean (R002)
 NN_HOT_PATH_MODULES = ("functional.py", "layers.py", "optim.py", "train.py")
-
-#: nn/functional.py kernels that must allocate through the arena (R006)
-WORKSPACE_KERNELS = ("conv2d", "_im2col", "_col2im", "avg_pool2d")
-
-#: numpy allocators R006 forbids inside those kernels
-FORBIDDEN_ALLOCATORS = ("pad", "zeros", "zeros_like", "empty", "empty_like")
 
 
 @dataclass(frozen=True)
@@ -175,45 +156,6 @@ def check_flop_rules(tree: ast.AST, path: str, rule: str = "R003") -> List[Viola
     return found
 
 
-def _is_numpy_allocator(node: ast.AST) -> bool:
-    """A call of ``np.pad``/``np.zeros``/``np.empty`` (or ``*_like``)."""
-    if not isinstance(node, ast.Call):
-        return False
-    func = node.func
-    return (
-        isinstance(func, ast.Attribute)
-        and func.attr in FORBIDDEN_ALLOCATORS
-        and isinstance(func.value, ast.Name)
-        and func.value.id in ("np", "numpy")
-    )
-
-
-def check_workspace_allocations(tree: ast.AST, path: str) -> List[Violation]:
-    """R006: arena-managed kernels must not call the numpy allocator.
-
-    The walk descends into nested functions, so backward closures defined
-    inside a kernel are covered too — they run once per training step,
-    which is exactly the per-call allocation the arena exists to remove.
-    """
-    found = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.FunctionDef):
-            continue
-        if node.name not in WORKSPACE_KERNELS:
-            continue
-        for inner in ast.walk(node):
-            if _is_numpy_allocator(inner):
-                found.append(
-                    Violation(
-                        "R006", path, inner.lineno,
-                        f"np.{inner.func.attr} inside {node.name} bypasses "
-                        f"the workspace arena; use Workspace.request/.zeros "
-                        f"or the owned_* helpers (repro.nn.workspace)",
-                    )
-                )
-    return found
-
-
 def _base_is_solver(node: ast.AST) -> bool:
     """A base-class expression naming ``Solver`` (bare or attribute)."""
     if isinstance(node, ast.Name):
@@ -280,7 +222,6 @@ def lint_path(path: str) -> List[Violation]:
         violations.extend(check_float64(tree, path))
     if normalized.endswith("nn/functional.py"):
         violations.extend(check_flop_rules(tree, path))
-        violations.extend(check_workspace_allocations(tree, path))
     if normalized.endswith("nn/quant.py"):
         violations.extend(check_flop_rules(tree, path, rule="R005"))
     return violations

@@ -444,7 +444,7 @@ def cmd_bench(args) -> int:
         report = build_report(
             results, smoke=args.smoke, baseline=baseline, description=description,
             suite=("repro.nn quantized inference" if args.suite == "quant"
-                   else "repro.nn kernel plans + workspace arena"
+                   else "repro.nn transposed-GEMM conv kernels"
                    if args.suite == "workspace"
                    else "repro.nn kernel microbenchmarks"),
         )
@@ -794,14 +794,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "and docs/performance.md).  --suite quant times float32 vs "
                     "fp16 vs int8 inference on the same model "
                     "(benchmarks/BENCH_quant.json, docs/quantization.md).  "
-                    "--suite workspace times the kernel-plan/workspace path "
-                    "against plans-off and the committed pre-plan baseline "
+                    "--suite workspace times a ResNet train step and inference "
+                    "batch against the committed pre-plan baseline "
                     "(benchmarks/BENCH_workspace.json).",
     )
     p.add_argument("--suite", choices=["nn", "quant", "workspace"], default="nn",
                    help="'nn' = hot-path kernels vs the committed baseline; "
                         "'quant' = quantized inference vs the float32 path; "
-                        "'workspace' = kernel plans on/off vs the pre-plan "
+                        "'workspace' = ResNet step/inference vs the pre-plan "
                         "baseline")
     p.add_argument("--smoke", action="store_true",
                    help="tiny shapes for CI; numbers not comparable to baseline")

@@ -94,8 +94,8 @@ class EvaluationResult:
     #: measured median wall-clock per inference batch (ms); 0.0 when latency
     #: measurement is disabled (``config.latency_batch`` unset)
     latency_ms: float = 0.0
-    #: peak workspace-arena bytes held while running the latency probe on
-    #: the compressed model (0 when latency measurement is disabled) — the
+    #: largest single-kernel scratch (bytes) while running the latency probe
+    #: on the compressed model (0 when latency measurement is disabled) — the
     #: *measured* scratch footprint cross-checked against the cost model's
     #: act_mem prediction
     workspace_bytes_peak: int = 0
@@ -311,25 +311,17 @@ class SchemeEvaluator:
     def _measure_latency(self, model: Module) -> Tuple[float, int]:
         """``(median ms per inference batch, workspace bytes peak)``.
 
-        Both zero when latency measurement is disabled.  The workspace is
-        cleared before the probe so the peak is *this* model's scratch
-        footprint at the probe batch size (the arena is grow-only, so
-        without the clear it would report the largest model ever run on the
-        thread); the probe's warm-up forward repopulates the buffers before
-        anything is timed.
+        Both zero when latency measurement is disabled.  The scratch meter
+        is reset before the probe, so the peak is the largest single-kernel
+        scratch of *this* model at the probe batch size.
         """
         batch = self.config.latency_batch
         if not batch:
             return 0.0, 0
         from ..nn.bench import measure_latency
-        from ..nn.workspace import (
-            clear_workspace,
-            reset_workspace_peak,
-            workspace_stats,
-        )
+        from ..nn.workspace import reset_workspace_peak, workspace_stats
 
         input_shape = getattr(self, "_input_shape", (3, 32, 32))
-        clear_workspace()
         reset_workspace_peak()
         if self.tracer.enabled:
             with self.tracer.span("latency.measure", batch=batch):
@@ -517,9 +509,9 @@ class SchemeEvaluator:
         if float(prediction.weight_bits) != executed_bits:
             self.weight_bits_mismatches += 1
         # Act-mem drift: the latency probe measures the real scratch
-        # footprint (workspace arena peak, batch latency_batch); the cost
-        # model predicts per-sample peak activation bytes.  The gap exposes
-        # what the static model cannot see — im2col scratch amplification.
+        # footprint (largest single-kernel scratch, batch latency_batch);
+        # the cost model predicts per-sample peak activation bytes.  The gap
+        # exposes what the static model cannot see — im2col amplification.
         act_mem_pct = None
         if result.workspace_bytes_peak > 0 and self.config.latency_batch:
             predicted_act = prediction.act_mem * self.config.latency_batch
@@ -560,11 +552,8 @@ class SchemeEvaluator:
 
     def _evaluate_recorded(self, scheme: CompressionScheme) -> EvaluationResult:
         """Run ``_evaluate`` and fold the result into the bookkeeping."""
-        from ..nn.workspace import plan_cache_stats
-
         tracer = self.tracer
         if tracer.enabled:
-            plans_before = plan_cache_stats()
             with tracer.span("evaluate", scheme=scheme.identifier, steps=scheme.length) as span:
                 result = self._evaluate(scheme)
                 # one charged evaluation == one `evaluate` span carrying its
@@ -572,15 +561,9 @@ class SchemeEvaluator:
                 span.add_cost(result.cost)
                 span.set(params=result.params, pr=result.pr, accuracy=result.accuracy)
                 self._record_prediction(result, span)
-                plans_after = plan_cache_stats()
-                plan_hits = plans_after["hits"] - plans_before["hits"]
-                plan_misses = plans_after["misses"] - plans_before["misses"]
-                span.set(plan_cache_hits=plan_hits, plan_cache_misses=plan_misses)
                 if result.workspace_bytes_peak:
                     span.set(workspace_bytes_peak=result.workspace_bytes_peak)
             tracer.metrics.counter("evaluations.fresh").inc()
-            tracer.metrics.counter("nn.plan_cache_hits").inc(plan_hits)
-            tracer.metrics.counter("nn.plan_cache_misses").inc(plan_misses)
         else:
             result = self._evaluate(scheme)
             if self.budget is not None:

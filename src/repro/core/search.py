@@ -89,13 +89,6 @@ class SearchResult:
             extras.append(f"{engine['cache_hits']} cache hits")
         if engine.get("snapshot_hits"):
             extras.append(f"{engine['snapshot_hits']} snapshot hits")
-        counters = (self.obs or {}).get("counters", {})
-        plan_hits = counters.get("nn.plan_cache_hits", 0)
-        plan_misses = counters.get("nn.plan_cache_misses", 0)
-        if plan_hits or plan_misses:
-            extras.append(
-                f"plan cache {plan_hits:.0f}/{plan_hits + plan_misses:.0f} hits"
-            )
         ws_peak = (self.obs or {}).get("gauges", {}).get("nn.workspace_bytes_peak")
         if ws_peak:
             extras.append(f"ws peak {ws_peak / 1024.0:.0f} KiB")

@@ -8,9 +8,9 @@ Public surface:
 * optimizers and LR schedules
 * :class:`~repro.nn.train.Trainer` / :func:`evaluate_accuracy`
 * :func:`~repro.nn.profile.profile_model` — P(M) and F(M) measurement
-* :mod:`repro.nn.workspace` — shape-specialized kernel plans and the
-  thread-local workspace arena (``plan_cache_stats`` / ``clear_plans`` /
-  ``workspace_stats`` / ``no_plans``)
+* :mod:`repro.nn.workspace` — the per-thread scratch high-water meter
+  (``workspace_stats`` / ``reset_workspace_peak``): the largest transient
+  scratch a single conv kernel allocated since the last reset
 """
 
 from . import functional, init, losses
@@ -53,16 +53,7 @@ from .tensor import (
     where,
 )
 from .train import Trainer, TrainReport, evaluate_accuracy
-from .workspace import (
-    Workspace,
-    clear_plans,
-    clear_workspace,
-    no_plans,
-    plan_cache_stats,
-    plans_enabled,
-    reset_workspace_peak,
-    workspace_stats,
-)
+from .workspace import reset_workspace_peak, workspace_stats
 
 __all__ = [
     "AvgPool2d",
@@ -89,10 +80,7 @@ __all__ = [
     "Tensor",
     "Trainer",
     "TrainReport",
-    "Workspace",
     "calibrate_module",
-    "clear_plans",
-    "clear_workspace",
     "concat",
     "confusion_matrix",
     "count_flops",
@@ -104,10 +92,7 @@ __all__ = [
     "get_default_dtype",
     "is_grad_enabled",
     "no_grad",
-    "no_plans",
     "per_class_accuracy",
-    "plan_cache_stats",
-    "plans_enabled",
     "reset_workspace_peak",
     "set_default_dtype",
     "top_k_accuracy",

@@ -99,8 +99,8 @@ def measure_latency(
     """Median wall-clock milliseconds per grad-free inference batch.
 
     The measured-latency column evaluators attach to results: one warm-up
-    forward (so lazily-built state — im2col plans, quantized weight layouts —
-    is paid once), then the median of ``repeats`` timed batches.  Restores
+    forward (so lazily-built state — quantized weight layouts — is paid
+    once), then the median of ``repeats`` timed batches.  Restores
     the model's train/eval mode on exit.
     """
     from .tensor import Tensor, no_grad
@@ -269,20 +269,16 @@ def run_quant_benchmarks(
 def run_workspace_benchmarks(
     smoke: bool = False, repeats: int = 5, seed: int = 0
 ) -> Dict[str, float]:
-    """Time the ResNet workloads with kernel plans on vs forced off.
+    """Time a ResNet train step and inference batch, gated by the suite
+    against :data:`PRE_PLANS_BASELINE`.
 
-    Same-run interleaved A/B: each repeat times the planned path and the
-    ``no_plans()`` path back to back on the same model, optimizer state and
-    input batch, so machine-wide drift cancels out of the plans-on vs
-    plans-off comparison.  The PR-level speedup gates are computed against
-    :data:`PRE_PLANS_BASELINE` instead — the ``no_plans()`` reference path
-    shares the rewritten kernels' GEMM layout and would understate them.
+    One warm-up of each workload, then ``repeats`` interleaved samples;
+    returns the fastest of each.
     """
     from ..models import ResNet
     from .losses import cross_entropy
     from .optim import SGD
     from .tensor import Tensor, no_grad
-    from .workspace import clear_plans, no_plans
 
     sizes = WORKLOADS["smoke" if smoke else "full"]
     rng = np.random.default_rng(seed)
@@ -303,63 +299,32 @@ def run_workspace_benchmarks(
         with no_grad():
             model(Tensor(inf_x))
 
-    # Warm both paths: plan building and workspace growth are one-time costs
-    # the steady-state search never sees, so they stay out of the samples.
-    clear_plans()
     model.train()
-    train_step()
+    train_step()  # warm-up
     model.eval()
     inference()
-    with no_plans():
-        model.train()
-        train_step()
-        model.eval()
-        inference()
-
-    names = (
-        "resnet56_step",
-        "resnet56_step_noplans",
-        "inference_batch",
-        "inference_batch_noplans",
-    )
-    samples: Dict[str, list] = {name: [] for name in names}
+    samples: Dict[str, list] = {"resnet56_step": [], "inference_batch": []}
     for _ in range(repeats):
         model.train()
         t0 = time.perf_counter()
         train_step()
         samples["resnet56_step"].append(time.perf_counter() - t0)
-        with no_plans():
-            t0 = time.perf_counter()
-            train_step()
-            samples["resnet56_step_noplans"].append(time.perf_counter() - t0)
         model.eval()
         t0 = time.perf_counter()
         inference()
         samples["inference_batch"].append(time.perf_counter() - t0)
-        with no_plans():
-            t0 = time.perf_counter()
-            inference()
-            samples["inference_batch_noplans"].append(time.perf_counter() - t0)
-    # Minimum, not median: the planned path is deterministic and allocation
-    # free in steady state, so the fastest observation is the one least
-    # polluted by scheduler noise — and the committed baseline was recorded
-    # with the same statistic.
+    # Minimum, not median: the committed baseline was recorded with the
+    # same statistic, and the fastest observation is the one least
+    # polluted by scheduler noise.
     return {name: min(times) for name, times in samples.items()}
 
 
 def build_workspace_report(
     results: Dict[str, float], smoke: bool = False
 ) -> Dict[str, object]:
-    """BENCH_workspace.json payload: planned kernels vs the pre-plan commit.
-
-    The baseline is :data:`PRE_PLANS_BASELINE` — the committed timings of
-    the kernels before the plan/workspace layer landed — so the speedup
-    column measures the whole PR, not just plans-on vs plans-off within the
-    rewritten kernels (the ``no_plans()`` reference path shares the
-    transposed-GEMM layout win and would understate it).  The ``*_noplans``
-    rows are kept in the report for exactly that comparison; they carry no
-    baseline entry.
-    """
+    """BENCH_workspace.json payload: the ResNet workloads vs
+    :data:`PRE_PLANS_BASELINE`, the committed timings of the
+    allocation-per-call, row-major-GEMM kernels."""
     return build_report(
         results,
         smoke=smoke,
@@ -368,7 +333,7 @@ def build_workspace_report(
             "pre-plan kernels (allocation-per-call im2col/col2im, np.pad "
             "every forward, row-major patch GEMM)"
         ),
-        suite="repro.nn kernel plans + workspace arena",
+        suite="repro.nn transposed-GEMM conv kernels",
     )
 
 

@@ -13,13 +13,10 @@ of a chain of primitive tape nodes that each allocate a fresh array.
 * pooling backward passes are vectorised scatter-adds (a single reshape
   scatter when windows do not overlap, per-tap strided adds otherwise).
 
-``conv2d`` and ``avg_pool2d`` execute through *shape-specialized plans*
-(:mod:`repro.nn.workspace`): geometry and im2col gather indices are computed
-once per shape and scratch buffers come from the thread-local workspace
-arena instead of the allocator.  Planned execution is bit-identical to the
-reference kernels (kept as the ``no_plans()`` fallback path below); every
-hot-path allocation that *escapes* a kernel goes through
-``workspace.owned_zeros``/``owned_empty`` so repolint R006 can audit it.
+Each op has exactly one implementation.  ``conv2d`` and ``quant_conv2d``
+report the bytes of the transient scratch they allocate (padded input,
+patch matrix) to the per-thread meter in :mod:`repro.nn.workspace`, which
+the evaluator's latency probe reads as ``workspace_bytes_peak``.
 """
 
 from __future__ import annotations
@@ -30,16 +27,8 @@ from typing import Optional, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .tensor import Tensor, _register_op, _unbroadcast, is_grad_enabled
-from .workspace import (
-    avg_pool_plan,
-    conv_plan,
-    get_workspace,
-    owned_empty,
-    owned_zeros,
-    pad2d,
-    plans_enabled,
-)
+from .tensor import Tensor, _register_op, _unbroadcast
+from .workspace import record_scratch
 
 # Optional sink used by repro.nn.profile to count FLOPs during a forward
 # pass.  When a thread sets ``_PROFILE.sink``, conv2d/linear/batch_norm/
@@ -60,10 +49,8 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     """(N, C, H, W) -> (N, C*kh*kw, Ho*Wo) transposed patch matrix.
 
     Transposed layout on purpose: ``wmat @ cols`` then yields the NCHW
-    output directly (no final transpose copy), and the planned kernels
-    (:class:`~repro.nn.workspace.ConvPlan`) fill the very same layout with
-    per-tap copies — identical GEMM operands on both paths is what makes
-    planned execution bit-identical to this reference.
+    output directly, with no final transpose copy.  A pointwise conv gets a
+    view of ``x`` back, not a copy.
     """
     windows = sliding_window_view(x, (kh, kw), axis=(2, 3))
     windows = windows[:, :, ::stride, ::stride]  # (N, C, Ho, Wo, kh, kw)
@@ -86,12 +73,13 @@ def _col2im(
     Ho*Wo)``.  Non-overlapping windows (stride >= kernel) scatter with one
     vectorised reshape assignment; overlapping windows accumulate one
     whole-array strided add per kernel tap (kh*kw adds, each fully
-    vectorised, in the same tap order as the planned scatter).
+    vectorised).  The result is freshly allocated, so ``_accumulate`` may
+    adopt it.
     """
     n, c, hp, wp = x_shape
     ho, wo = out_hw
     blocks = dcols.reshape(n, c, kh, kw, ho, wo)
-    dx = owned_zeros(x_shape, dcols.dtype)
+    dx = np.zeros(x_shape, dtype=dcols.dtype)
     if stride >= kh and stride >= kw and hp == stride * ho and wp == stride * wo:
         view = dx.reshape(n, c, ho, stride, wo, stride)
         view[:, :, :, :kh, :, :kw] = blocks.transpose(0, 1, 4, 2, 5, 3)
@@ -127,84 +115,46 @@ def conv2d(
     wmat = weight.data.reshape(f, -1)  # (F, C*kh*kw)
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (w + 2 * padding - kw) // stride + 1
-    plan = (
-        conv_plan(n, c, h, w, f, kh, kw, stride, padding, x.data.dtype)
-        if plans_enabled() and x.data.dtype == weight.data.dtype
-        else None
-    )
     sink = _profile_sink()
     if sink is not None:
         macs = n * ho * wo * f * c * kh * kw
         sink("conv2d", 2 * macs + (n * ho * wo * f if bias is not None else 0))
-    if plan is not None:
-        ws = get_workspace()
-        xp_shape = plan.padded_shape
-        # The patch matrix escapes into the backward closure only when the
-        # weight gradient will read it — otherwise it is workspace scratch.
-        cols_persist = is_grad_enabled() and weight.requires_grad
-        xp = plan.pad_input(x.data, ws)
-        cols = plan.im2col(xp, ws, persist=cols_persist)  # (N, C*kh*kw, Ho*Wo)
-        dw_cols = cols if cols_persist else None
-        # The transposed patch layout makes the GEMM output (N, F, Ho*Wo),
-        # which reshapes to NCHW in place — no transpose copy.  The matmul
-        # allocates the output itself: it escapes as the op result anyway,
-        # and a fresh GEMM is measurably faster than one with ``out=``.
-        out = np.matmul(wmat, cols).reshape(n, f, ho, wo)
-        if bias is not None:
-            out += bias.data.reshape(f, 1, 1)
-    else:
-        xp = pad2d(x.data, padding)
-        xp_shape = xp.shape
-        cols = _im2col(xp, kh, kw, stride)  # (N, C*kh*kw, Ho*Wo)
-        dw_cols = cols
-        out = np.matmul(wmat, cols).reshape(n, f, ho, wo)
-        if bias is not None:
-            out += bias.data.reshape(f, 1, 1)
+    xp = x.data
+    if padding:
+        xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    xp_shape = xp.shape
+    cols = _im2col(xp, kh, kw, stride)  # (N, C*kh*kw, Ho*Wo)
+    record_scratch(
+        (xp.nbytes if padding else 0)
+        + (0 if np.may_share_memory(cols, xp) else cols.nbytes)
+    )
+    # The GEMM output (N, F, Ho*Wo) reshapes to NCHW in place, and is
+    # freshly allocated: the fused clamp below really is in place.
+    out = np.matmul(wmat, cols).reshape(n, f, ho, wo)
+    if bias is not None:
+        out += bias.data.reshape(f, 1, 1)
     relu_mask = None
     if activation == "relu":
-        # `out` is freshly allocated and C-contiguous on both paths, so the
-        # clamp is genuinely in place.  (The previous spelling,
-        # out=np.ascontiguousarray(out), silently wrote into a temporary
-        # whenever `out` arrived non-contiguous.)
         np.maximum(out, 0.0, out=out)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(grad: np.ndarray) -> None:
         if relu_mask is not None:
-            # Mask into a workspace buffer rather than allocating: `grad`
-            # itself must stay untouched (the tape may hand it to other
-            # consumers), but the masked copy is scratch local to this op.
-            if plan is not None and grad.dtype == plan.dtype:
-                masked = get_workspace().request(
-                    (plan.key, "gmask"), grad.shape, grad.dtype
-                )
-                np.multiply(grad, relu_mask, out=masked)
-                grad = masked
-            else:
-                grad = grad * relu_mask
+            grad = grad * relu_mask  # never mask `grad` in place: the tape owns it
         gmat = grad.reshape(n, f, ho * wo)  # (N, F, Ho*Wo), no copy
-        if dw_cols is not None and weight.requires_grad:
+        if weight.requires_grad:
             # Batched gemm per sample, then reduce over the batch.  BLAS
-            # consumes the transposed view of `dw_cols` directly, so this
+            # consumes the transposed view of `cols` directly, so this
             # avoids the two large contiguous copies np.tensordot makes and
-            # measures ~1.4-2x faster on ResNet shapes.  Shared by the
-            # planned and reference paths, so their dw stays bit-identical.
-            dw = np.matmul(gmat, dw_cols.transpose(0, 2, 1)).sum(axis=0)
+            # measures ~1.4-2x faster on ResNet shapes.
+            dw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0)
             weight._accumulate(dw.reshape(weight.shape))
         if bias is not None and bias.requires_grad:
             bias._accumulate(gmat.sum(axis=(0, 2)))
         if x.requires_grad:
-            if plan is not None and grad.dtype == plan.dtype:
-                bws = get_workspace()
-                dcols = bws.request(
-                    (plan.key, "dcols"), (n, plan.ckk, plan.rows), plan.dtype
-                )
-                np.matmul(wmat.T, gmat, out=dcols)
-                dxp = plan.col2im(dcols, bws)
-            else:
-                dcols = np.matmul(wmat.T, gmat)  # (N, C*kh*kw, Ho*Wo)
-                dxp = _col2im(dcols, xp_shape, kh, kw, stride, (ho, wo))
+            dcols = np.matmul(wmat.T, gmat)  # (N, C*kh*kw, Ho*Wo)
+            dxp = _col2im(dcols, xp_shape, kh, kw, stride, (ho, wo))
             if padding:
                 dxp = dxp[:, :, padding:-padding, padding:-padding]
             x._accumulate(dxp)
@@ -287,33 +237,11 @@ def avg_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tens
     stride = stride or kernel
     n, c, h, w = x.shape
     inv = 1.0 / (kernel * kernel)
-    plan = (
-        avg_pool_plan(n, c, h, w, kernel, stride, x.data.dtype)
-        if plans_enabled()
-        else None
-    )
-    nonoverlap = (
-        plan.nonoverlap
-        if plan is not None
-        else stride == kernel and h % kernel == 0 and w % kernel == 0
-    )
-    if nonoverlap:
+    if stride == kernel and h % kernel == 0 and w % kernel == 0:
         ho, wo = h // kernel, w // kernel
         out = x.data.reshape(n, c, ho, kernel, wo, kernel).mean(axis=(3, 5))
 
         def backward(grad: np.ndarray) -> None:
-            if plan is not None and grad.dtype == plan.dtype:
-                ws = get_workspace()
-                share = ws.request((plan.key, "share"), grad.shape, plan.dtype)
-                np.multiply(grad, inv, out=share)
-                share6 = share[:, :, :, None, :, None]
-                dx = owned_empty((n, c, h, w), plan.dtype)
-                np.copyto(
-                    dx.reshape(n, c, ho, kernel, wo, kernel),
-                    np.broadcast_to(share6, (n, c, ho, kernel, wo, kernel)),
-                )
-                x._accumulate(dx)
-                return
             share = np.asarray(grad * inv)[:, :, :, None, :, None]
             dx = np.broadcast_to(share, (n, c, ho, kernel, wo, kernel))
             x._accumulate(np.ascontiguousarray(dx).reshape(n, c, h, w))
@@ -326,10 +254,7 @@ def avg_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tens
     out = windows.mean(axis=(4, 5))
 
     def backward(grad: np.ndarray) -> None:
-        # The input gradient escapes through _accumulate, so it is owned;
-        # the plan's contribution here is the cached geometry/fast-path
-        # decision, not buffer reuse.
-        dx = owned_zeros(x.data.shape, x.data.dtype)
+        dx = np.zeros(x.data.shape, dtype=x.data.dtype)
         share = grad * inv
         for i in range(kernel):
             for j in range(kernel):

@@ -46,7 +46,7 @@ from . import functional as F
 from .functional import _profile_sink
 from .layers import BatchNorm2d, Conv2d, Identity, Linear, Module, Parameter
 from .tensor import Tensor, _register_op, no_grad
-from .workspace import get_workspace, owned_empty, plans_enabled, quant_conv_plan
+from .workspace import record_scratch
 
 #: modes accepted by quantize_module
 QUANT_MODES = ("int8", "fp16")
@@ -161,55 +161,24 @@ def quant_conv2d(
         )  # (kh, kw, C, F)
 
     rows = n * ho * wo
-    plan = (
-        quant_conv_plan(n, c, h, w, f, kh, kw, stride, padding, x.data.dtype)
-        if plans_enabled()
-        else None
-    )
-    if plan is not None:
-        # Planned path: quantize straight into the reusable padded NHWC
-        # buffer, then tap-accumulate through workspace scratch.  Same
-        # arithmetic, same op order — bit-identical to the reference below.
-        if x_scale is None:
-            absmax = float(np.max(np.abs(x.data))) if x.data.size else 0.0
-            x_scale = max(absmax, _EPS) / QMAX
-        ws = get_workspace()
-        xq = plan.quantize_nhwc(x.data, 1.0 / x_scale, ws)
-        acc = ws.zeros((plan.key, "acc"), (rows, f), np.float32)
-        cast = ws.request((plan.key, "cast"), (n, ho, wo, c), np.float32)
-        tap = ws.request((plan.key, "tap"), (rows, f), np.float32)
-        for i in range(kh):
-            for j in range(kw):
-                patch = xq[
-                    :, i : i + ho * stride : stride, j : j + wo * stride : stride, :
-                ]
-                np.copyto(cast, patch)  # one fused contiguous cast per tap
-                np.matmul(cast.reshape(rows, c), wtaps[i, j], out=tap)
-                acc += tap
-    else:
-        xq, x_scale = quantize_activation(x.data, x_scale)
-        if padding:
-            xq = np.pad(xq, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-        xq = np.ascontiguousarray(xq.transpose(0, 2, 3, 1))  # NHWC int8
-        acc = np.zeros((rows, f), dtype=np.float32)
-        for i in range(kh):
-            for j in range(kw):
-                patch = xq[
-                    :, i : i + ho * stride : stride, j : j + wo * stride : stride, :
-                ]
-                # astype is the only copy: one fused contiguous cast per tap.
-                acc += patch.astype(np.float32).reshape(rows, c) @ wtaps[i, j]
+    xq, x_scale = quantize_activation(x.data, x_scale)
+    if padding:
+        xq = np.pad(xq, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    xq = np.ascontiguousarray(xq.transpose(0, 2, 3, 1))  # NHWC int8
+    record_scratch(xq.nbytes + rows * c * 4)  # + one float32 tap cast
+    acc = np.zeros((rows, f), dtype=np.float32)
+    for i in range(kh):
+        for j in range(kw):
+            patch = xq[:, i : i + ho * stride : stride, j : j + wo * stride : stride, :]
+            # astype is the only copy: one fused contiguous cast per tap.
+            acc += patch.astype(np.float32).reshape(rows, c) @ wtaps[i, j]
 
     acc *= (np.float32(x_scale) * np.asarray(weight_scale, dtype=np.float32))[None, :]
     if bias is not None:
         acc += np.asarray(bias, dtype=np.float32)[None, :]
     if activation == "relu":
         np.maximum(acc, 0.0, out=acc)
-    if plan is not None:
-        out = owned_empty((n, f, ho, wo), np.float32)
-        np.copyto(out, acc.reshape(n, ho, wo, f).transpose(0, 3, 1, 2))
-    else:
-        out = np.ascontiguousarray(acc.reshape(n, ho, wo, f).transpose(0, 3, 1, 2))
+    out = np.ascontiguousarray(acc.reshape(n, ho, wo, f).transpose(0, 3, 1, 2))
     result = x._make(out, (x,), _inference_only_backward)
     return _register_op(result, "quant_conv2d")
 

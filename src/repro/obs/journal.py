@@ -17,9 +17,8 @@ Schema (version 1) — every record carries ``"v": 1``:
 ``event``  ``{"v", "type": "event", "name", "parent", "t", "attrs"}``
 
 ``evaluate`` spans may carry kernel-runtime attributes in ``attrs`` —
-``plan_cache_hits`` / ``plan_cache_misses`` (shape-specialized plan cache
-traffic during that evaluation) and ``workspace_bytes_peak`` (the arena
-high-water mark measured by the latency probe), plus ``predicted_act_mem``
+``workspace_bytes_peak`` (the largest single-kernel scratch measured by
+the latency probe), plus ``predicted_act_mem``
 / ``drift_act_mem_pct`` when the cost model made an activation-memory
 prediction.  These are ordinary attrs under the existing forward-compat
 contract; no schema bump is needed.

@@ -44,10 +44,8 @@ class JournalSummary:
     worker_failures: int = 0
     rounds: int = 0
     train_epochs: int = 0
-    #: kernel-plan cache traffic summed over ``evaluate`` span attrs
-    plan_cache_hits: int = 0
-    plan_cache_misses: int = 0
-    #: largest workspace-arena footprint any evaluation reported (bytes)
+    #: largest single-kernel scratch any evaluation's latency probe
+    #: reported (bytes)
     workspace_bytes_peak: int = 0
     #: last ``search.trajectory`` event seen, if any
     final_trajectory: Optional[dict] = None
@@ -100,15 +98,10 @@ class JournalSummary:
         )
         if self.train_epochs:
             lines.append(f"  training: {self.train_epochs} epochs")
-        if self.plan_cache_hits or self.plan_cache_misses:
-            total = self.plan_cache_hits + self.plan_cache_misses
-            peak = (
-                f", workspace peak {self.workspace_bytes_peak / 1024.0:.0f} KiB"
-                if self.workspace_bytes_peak
-                else ""
-            )
+        if self.workspace_bytes_peak:
             lines.append(
-                f"  kernel plans: {self.plan_cache_hits}/{total} cache hits{peak}"
+                f"  kernel scratch: workspace peak "
+                f"{self.workspace_bytes_peak / 1024.0:.0f} KiB"
             )
         if self.final_trajectory:
             t = self.final_trajectory
@@ -148,8 +141,6 @@ class JournalSummary:
             "worker_failures": self.worker_failures,
             "rounds": self.rounds,
             "train_epochs": self.train_epochs,
-            "plan_cache_hits": self.plan_cache_hits,
-            "plan_cache_misses": self.plan_cache_misses,
             "workspace_bytes_peak": self.workspace_bytes_peak,
             "final_trajectory": self.final_trajectory,
         }
@@ -199,12 +190,6 @@ def summarize_journal(path: Union[str, Path]) -> JournalSummary:
                     summary.sim_cost_total += cost
                 attrs = record.get("attrs")
                 attrs = attrs if isinstance(attrs, dict) else {}
-                hits = attrs.get("plan_cache_hits")
-                if isinstance(hits, (int, float)):
-                    summary.plan_cache_hits += int(hits)
-                misses = attrs.get("plan_cache_misses")
-                if isinstance(misses, (int, float)):
-                    summary.plan_cache_misses += int(misses)
                 peak = attrs.get("workspace_bytes_peak")
                 if isinstance(peak, (int, float)) and peak > summary.workspace_bytes_peak:
                     summary.workspace_bytes_peak = int(peak)

@@ -137,71 +137,6 @@ class TestR004SolverRegistration:
         assert repolint.check_solver_registration(tree, "x.py") == []
 
 
-class TestR006WorkspaceAllocations:
-    def test_flags_allocators_in_kernels(self):
-        tree = parse(
-            """
-            def conv2d(x, padding):
-                xp = np.pad(x, padding)
-                def backward(grad):
-                    dx = np.zeros_like(xp)
-                return xp
-
-            def _col2im(dcols, shape):
-                return np.zeros(shape, dtype=dcols.dtype)
-            """
-        )
-        violations = repolint.check_workspace_allocations(tree, "functional.py")
-        assert [v.rule for v in violations] == ["R006"] * 3
-        assert "np.pad" in violations[0].message
-        assert "workspace arena" in violations[0].message
-
-    def test_nested_backward_closures_are_covered(self):
-        tree = parse(
-            """
-            def avg_pool2d(x):
-                def backward(grad):
-                    return np.empty(grad.shape)
-                return backward
-            """
-        )
-        assert [
-            v.rule for v in repolint.check_workspace_allocations(tree, "x.py")
-        ] == ["R006"]
-
-    def test_allows_arena_and_owned_helpers(self):
-        tree = parse(
-            """
-            def conv2d(x):
-                ws = get_workspace()
-                cols = ws.request(("k", "cols"), (4, 9), x.dtype)
-                dx = owned_zeros(x.shape, x.dtype)
-                flat = np.ascontiguousarray(cols)
-                return flat
-            """
-        )
-        assert repolint.check_workspace_allocations(tree, "x.py") == []
-
-    def test_other_functions_are_exempt(self):
-        """max_pool2d etc. are not arena-managed; allocations are fine."""
-        tree = parse(
-            """
-            def max_pool2d(x):
-                return np.zeros_like(x)
-
-            def helper(shape):
-                return np.empty(shape)
-            """
-        )
-        assert repolint.check_workspace_allocations(tree, "x.py") == []
-
-    def test_real_functional_is_clean(self):
-        import repro.nn.functional as functional
-
-        tree = ast.parse(open(functional.__file__).read())
-        assert repolint.check_workspace_allocations(tree, functional.__file__) == []
-
-
 class TestRunner:
     def test_repo_is_clean(self):
         root = os.path.join(

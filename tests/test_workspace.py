@@ -1,41 +1,29 @@
-"""Kernel plans and the thread-local workspace arena (repro.nn.workspace).
+"""Conv kernel allocation properties and the scratch meter (repro.nn.workspace).
 
-The layer's contract, in test form:
-
-* *bit-identity* — planned execution equals the un-planned reference bit
-  for bit, for every drawn conv geometry (hypothesis) and for the pooling
-  paths, gradients included;
-* *isolation* — workspaces are thread-local (one thread's kernels never
-  touch another thread's scratch), while plans are shared process-wide;
 * *allocation bugfixes stay fixed* — ``padding == 0`` never copies the
-  input (the old path paid a full ``np.pad`` copy on every 1x1 conv), and
-  the fused-ReLU clamp really happens in the output buffer (the old
+  input (an old path paid a full ``np.pad`` copy on every 1x1 conv), and
+  the fused-ReLU clamp really happens in the output buffer (an old
   spelling silently clamped a temporary when the output was
   non-contiguous);
-* *observability* — ``plan_cache_stats``/``workspace_stats`` report what
-  actually happened.
+* *the meter* — each conv reports its own transient scratch, the thread
+  keeps the largest single-kernel figure (not a sum over every shape it
+  has run), and one thread's kernels never move another thread's reading.
+
+Kernel values and gradients are pinned in ``tests/goldens/kernels.json``
+(``tests/test_goldens.py``).
 """
 
 import threading
 
 import numpy as np
-import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
-from repro.nn import Tensor
+from repro.core.config import EvaluatorConfig
+from repro.core.evaluator import SurrogateEvaluator
+from repro.data.tasks import EXP1
+from repro.models import resnet56
+from repro.nn import Tensor, reset_workspace_peak, workspace_stats
 from repro.nn import functional as F
-from repro.nn.workspace import (
-    Workspace,
-    clear_plans,
-    conv_plan,
-    get_workspace,
-    no_plans,
-    pad2d,
-    plan_cache_stats,
-    plans_enabled,
-    workspace_stats,
-)
+from repro.space import CompressionScheme
 
 
 def conv_outputs(data, stride, padding, activation=None):
@@ -49,152 +37,24 @@ def conv_outputs(data, stride, padding, activation=None):
     return out.data.copy(), x.grad.copy(), w.grad.copy(), b.grad.copy()
 
 
-# --------------------------------------------------------------------------- #
-# Planned == reference, property-tested
-# --------------------------------------------------------------------------- #
-class TestPlannedBitIdentity:
-    @settings(max_examples=30, deadline=None)
-    @given(
-        n=st.integers(1, 3),
-        c=st.integers(1, 5),
-        h=st.integers(3, 11),
-        f=st.integers(1, 6),
-        k=st.integers(1, 4),
-        stride=st.integers(1, 3),
-        padding=st.integers(0, 2),
-        relu=st.booleans(),
-    )
-    def test_conv2d(self, n, c, h, f, k, stride, padding, relu):
-        assume(h + 2 * padding >= k)
-        rng = np.random.default_rng(n * 1000 + c * 100 + h * 10 + f + k + stride)
-        data = (
-            rng.normal(size=(n, c, h, h)).astype(np.float32),
-            rng.normal(size=(f, c, k, k)).astype(np.float32),
-            rng.normal(size=(f,)).astype(np.float32),
-        )
-        activation = "relu" if relu else None
-        clear_plans()
-        cold = conv_outputs(data, stride, padding, activation)
-        warm = conv_outputs(data, stride, padding, activation)
-        with no_plans():
-            reference = conv_outputs(data, stride, padding, activation)
-        for name, a, b, r in zip(("out", "dx", "dw", "db"), cold, warm, reference):
-            np.testing.assert_array_equal(a, r, err_msg=f"{name} (cold)")
-            np.testing.assert_array_equal(b, r, err_msg=f"{name} (warm)")
-
-    @pytest.mark.parametrize("kernel,stride,size", [(2, 2, 8), (3, 1, 7), (3, 2, 9)])
-    def test_avg_pool2d(self, rng, kernel, stride, size):
-        xd = rng.normal(size=(2, 3, size, size)).astype(np.float32)
-
-        def run():
-            x = Tensor(xd.copy(), requires_grad=True)
-            out = F.avg_pool2d(x, kernel=kernel, stride=stride)
-            out.backward(np.ones(out.shape, dtype=np.float32))
-            return out.data.copy(), x.grad.copy()
-
-        clear_plans()
-        planned_out, planned_dx = run()
-        with no_plans():
-            ref_out, ref_dx = run()
-        np.testing.assert_array_equal(planned_out, ref_out)
-        np.testing.assert_array_equal(planned_dx, ref_dx)
+def conv_scratch_bytes(x_shape, w_shape, stride, padding, itemsize=4):
+    """Padded input + im2col patch matrix of one conv2d call, in bytes."""
+    n, c, h, w = x_shape
+    f, _, kh, kw = w_shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    padded = n * c * hp * wp * itemsize if padding else 0
+    pointwise = kh == kw == stride == 1
+    patches = 0 if pointwise else n * c * kh * kw * ho * wo * itemsize
+    return padded + patches
 
 
 # --------------------------------------------------------------------------- #
-# Thread isolation (style of tests/test_no_grad.py)
-# --------------------------------------------------------------------------- #
-class TestThreadIsolation:
-    def test_workspaces_are_thread_local(self):
-        """A buffer held mid-kernel by one thread survives another thread's
-        kernels running the very same plan (same arena keys)."""
-        xd = np.random.default_rng(0).normal(size=(2, 3, 8, 8)).astype(np.float32)
-        wd = np.random.default_rng(1).normal(size=(4, 3, 3, 3)).astype(np.float32)
-        clear_plans()
-
-        filled = threading.Event()
-        release = threading.Event()
-        failures = []
-
-        def worker():
-            try:
-                ws = get_workspace()
-                plan = conv_plan(2, 3, 8, 8, 4, 3, 3, 1, 1, np.float32)
-                buf = ws.request((plan.key, "cols"), (2, plan.ckk, plan.rows), np.float32)
-                buf.fill(123.0)
-                filled.set()
-                # The main thread now runs the same conv shape; if arenas
-                # were shared, its im2col would overwrite this buffer.
-                assert release.wait(timeout=30)
-                if not np.all(buf == 123.0):
-                    failures.append("workspace buffer was clobbered cross-thread")
-            except Exception as exc:  # pragma: no cover - surfaced below
-                failures.append(repr(exc))
-                filled.set()
-
-        thread = threading.Thread(target=worker)
-        thread.start()
-        try:
-            assert filled.wait(timeout=30)
-            F.conv2d(Tensor(xd), Tensor(wd), stride=1, padding=1)
-        finally:
-            release.set()
-            thread.join(timeout=30)
-        assert not failures, failures
-
-    def test_plans_are_shared_across_threads(self):
-        """The geometry cache is global: a plan built on one thread is a
-        cache hit on another (counters stay per-thread)."""
-        clear_plans()
-        built = threading.Event()
-
-        def builder():
-            conv_plan(1, 2, 6, 6, 3, 3, 3, 1, 1, np.float32)
-            built.set()
-
-        thread = threading.Thread(target=builder)
-        thread.start()
-        thread.join(timeout=30)
-        assert built.wait(timeout=30)
-        before = plan_cache_stats()
-        conv_plan(1, 2, 6, 6, 3, 3, 3, 1, 1, np.float32)
-        after = plan_cache_stats()
-        assert after["size"] == before["size"] == 1
-        assert after["hits"] == before["hits"] + 1
-        assert after["misses"] == before["misses"]  # built elsewhere
-
-    def test_plans_enabled_is_thread_local(self):
-        inside = threading.Event()
-        release = threading.Event()
-        seen = {}
-
-        def worker():
-            with no_plans():
-                seen["worker"] = plans_enabled()
-                inside.set()
-                release.wait(timeout=30)
-
-        thread = threading.Thread(target=worker)
-        thread.start()
-        try:
-            assert inside.wait(timeout=30)
-            assert plans_enabled()  # this thread is unaffected
-        finally:
-            release.set()
-            thread.join(timeout=30)
-        assert seen["worker"] is False
-
-
-# --------------------------------------------------------------------------- #
-# The satellite bugfixes stay fixed
+# The allocation bugfixes stay fixed
 # --------------------------------------------------------------------------- #
 class TestPaddingZeroNoCopy:
-    def test_pad2d_returns_input(self, rng):
-        x = rng.normal(size=(2, 3, 5, 5)).astype(np.float32)
-        assert pad2d(x, 0) is x
-        assert pad2d(x, 1) is not x
-
     def test_conv2d_padding_zero_never_pads(self, rng, monkeypatch):
-        """Both paths: a 1x1/no-padding conv must not touch np.pad at all."""
+        """A 1x1/no-padding conv must not touch np.pad at all."""
 
         def forbidden(*args, **kwargs):  # pragma: no cover - the assertion
             raise AssertionError("np.pad called for a padding=0 conv2d")
@@ -202,82 +62,75 @@ class TestPaddingZeroNoCopy:
         monkeypatch.setattr(np, "pad", forbidden)
         x = Tensor(rng.normal(size=(2, 4, 6, 6)), requires_grad=True)
         w = Tensor(rng.normal(size=(3, 4, 1, 1)), requires_grad=True)
-        clear_plans()
         F.conv2d(x, w, stride=1, padding=0).sum().backward()
-        with no_plans():
-            F.conv2d(x, w, stride=1, padding=0).sum().backward()
 
 
 class TestFusedReluContiguity:
     def test_clamp_lands_in_output(self, rng):
-        """The fused clamp must modify the tensor the op returns — on both
-        paths — not a contiguous temporary (the old footgun)."""
+        """The fused clamp must modify the tensor the op returns, not a
+        contiguous temporary (the old footgun)."""
         data = (
             rng.normal(size=(2, 3, 6, 6)).astype(np.float32),
             rng.normal(size=(4, 3, 3, 3)).astype(np.float32),
             np.zeros(4, dtype=np.float32),
         )
-        clear_plans()
-        for ctx in (None, no_plans):
-            if ctx is None:
-                fused = conv_outputs(data, 1, 1, "relu")[0]
-            else:
-                with ctx():
-                    fused = conv_outputs(data, 1, 1, "relu")[0]
-            assert fused.flags["C_CONTIGUOUS"]
-            assert fused.min() >= 0.0
+        fused = conv_outputs(data, 1, 1, "relu")[0]
+        assert fused.flags["C_CONTIGUOUS"]
+        assert fused.min() >= 0.0
         plain = conv_outputs(data, 1, 1, None)[0]
         np.testing.assert_array_equal(fused, np.maximum(plain, 0.0))
 
 
 # --------------------------------------------------------------------------- #
-# Arena mechanics and observability
+# The scratch meter
 # --------------------------------------------------------------------------- #
-class TestWorkspaceArena:
-    def test_request_reuses_and_grows(self):
-        ws = Workspace()
-        a = ws.request(("k",), (4, 4), np.float32)
-        b = ws.request(("k",), (4, 4), np.float32)
-        assert a.base is b.base  # same backing buffer, no reallocation
-        assert ws.bytes_in_use == 64
-        big = ws.request(("k",), (8, 8), np.float32)
-        assert big.shape == (8, 8)
-        assert ws.bytes_in_use == 256
-        assert ws.bytes_peak == 256
-        small_again = ws.request(("k",), (2, 2), np.float64)
-        assert small_again.base is big.base  # shrink reuses; dtype is a view
-        assert ws.bytes_peak == 256
+class TestScratchMeter:
+    def test_conv2d_reports_its_scratch(self, rng):
+        for x_shape, w_shape, stride, padding in [
+            ((2, 3, 8, 8), (4, 3, 3, 3), 1, 1),
+            ((2, 8, 9, 9), (5, 8, 3, 3), 2, 1),
+            ((1, 4, 7, 7), (6, 4, 1, 1), 1, 0),  # pointwise: no scratch at all
+        ]:
+            x = Tensor(rng.normal(size=x_shape).astype(np.float32))
+            w = Tensor(rng.normal(size=w_shape).astype(np.float32))
+            reset_workspace_peak()
+            F.conv2d(x, w, stride=stride, padding=padding)
+            assert workspace_stats() == {
+                "bytes_peak": conv_scratch_bytes(x_shape, w_shape, stride, padding)
+            }
 
-    def test_ready_flag_cleared_on_growth(self):
-        ws = Workspace()
-        ws.request(("pad",), (2, 2), np.float32)
-        ws.mark_ready(("pad",))
-        assert ws.is_ready(("pad",))
-        ws.request(("pad",), (2, 2), np.float32)
-        assert ws.is_ready(("pad",))  # reuse keeps one-time contents
-        ws.request(("pad",), (16, 16), np.float32)
-        assert not ws.is_ready(("pad",))  # growth discards them
+    def test_resnet56_probe_peak_is_one_kernel(self, monkeypatch):
+        """The latency probe's peak is the largest *single* conv's scratch,
+        not a sum over every shape the model runs."""
+        largest = []
+        real_conv2d = F.conv2d
 
-    def test_zeros_and_clear(self):
-        ws = Workspace()
-        z = ws.zeros(("z",), (3, 3), np.float32)
-        assert np.all(z == 0)
-        ws.clear()
-        assert ws.bytes_in_use == 0
-        assert ws.bytes_peak > 0  # the statistic survives eviction
+        def recording(x, weight, bias=None, stride=1, padding=0, activation=None):
+            largest.append(conv_scratch_bytes(x.shape, weight.shape, stride, padding))
+            return real_conv2d(x, weight, bias, stride, padding, activation)
 
-    def test_stats_shape(self):
-        stats = workspace_stats()
-        assert set(stats) == {"buffers", "bytes_in_use", "bytes_peak"}
+        evaluator = SurrogateEvaluator(
+            lambda: resnet56(num_classes=10), "resnet56", "cifar10", EXP1,
+            config=EvaluatorConfig(seed=0, latency_batch=8),
+        )
+        monkeypatch.setattr(F, "conv2d", recording)
+        result = evaluator.evaluate(CompressionScheme())
+        assert largest, "the probe ran no conv2d"
+        assert 0 < result.workspace_bytes_peak <= max(largest)
 
-    def test_plan_cache_stats_track_usage(self, rng):
-        clear_plans()
-        x = Tensor(rng.normal(size=(1, 2, 6, 6)))
-        w = Tensor(rng.normal(size=(3, 2, 3, 3)))
-        F.conv2d(x, w, stride=1, padding=1)
-        first = plan_cache_stats()
-        F.conv2d(x, w, stride=1, padding=1)
-        second = plan_cache_stats()
-        assert first["misses"] >= 1
-        assert second["hits"] == first["hits"] + 1
-        assert second["size"] == first["size"]
+    def test_other_threads_do_not_raise_this_threads_peak(self, rng):
+        x = Tensor(rng.normal(size=(4, 8, 16, 16)).astype(np.float32))
+        w = Tensor(rng.normal(size=(8, 8, 3, 3)).astype(np.float32))
+        worker_peak = {}
+
+        def worker():
+            reset_workspace_peak()
+            F.conv2d(x, w, stride=1, padding=1)
+            worker_peak["bytes"] = workspace_stats()["bytes_peak"]
+
+        reset_workspace_peak()
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join(timeout=60)
+        assert worker_peak["bytes"] == conv_scratch_bytes(x.shape, w.shape, 1, 1)
+        assert workspace_stats()["bytes_peak"] == 0
