@@ -25,7 +25,7 @@ import threading
 from typing import Optional, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .tensor import Tensor, _register_op, _unbroadcast
 from .workspace import record_scratch
@@ -49,14 +49,23 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     """(N, C, H, W) -> (N, C*kh*kw, Ho*Wo) transposed patch matrix.
 
     Transposed layout on purpose: ``wmat @ cols`` then yields the NCHW
-    output directly, with no final transpose copy.  A pointwise conv gets a
-    view of ``x`` back, not a copy.
+    output directly, with no final transpose copy.  Each kernel tap is a
+    run of ``Wo`` strided elements, so the gather is one ``copyto`` from a
+    6-D window view.  A pointwise conv gets a view of ``x`` back, not a
+    copy.
     """
-    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]  # (N, C, Ho, Wo, kh, kw)
-    n, c, ho, wo = windows.shape[:4]
-    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, ho * wo)
-    return np.ascontiguousarray(cols)
+    n, c, h, w = x.shape
+    ho, wo = (h - kh) // stride + 1, (w - kw) // stride + 1
+    if kh == kw == stride == 1:
+        return x.reshape(n, c, h * w)
+    sn, sc, sh, sw = x.strides
+    windows = as_strided(
+        x, (n, c, kh, kw, ho, wo), (sn, sc, sh, sw, sh * stride, sw * stride),
+        writeable=False,
+    )
+    cols = np.empty((n, c * kh * kw, ho * wo), dtype=x.dtype)
+    np.copyto(cols.reshape(windows.shape), windows)
+    return cols
 
 
 def _col2im(
@@ -121,7 +130,8 @@ def conv2d(
         sink("conv2d", 2 * macs + (n * ho * wo * f if bias is not None else 0))
     xp = x.data
     if padding:
-        xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.data.dtype)
+        xp[:, :, padding:-padding, padding:-padding] = x.data
     xp_shape = xp.shape
     cols = _im2col(xp, kh, kw, stride)  # (N, C*kh*kw, Ho*Wo)
     record_scratch(

@@ -1,7 +1,7 @@
 """Conv kernel allocation properties and the scratch meter (repro.nn.workspace).
 
 * *allocation bugfixes stay fixed* — ``padding == 0`` never copies the
-  input (an old path paid a full ``np.pad`` copy on every 1x1 conv), and
+  input (an old path paid a full padding copy on every 1x1 conv), and
   the fused-ReLU clamp really happens in the output buffer (an old
   spelling silently clamped a temporary when the output was
   non-contiguous);
@@ -54,15 +54,20 @@ def conv_scratch_bytes(x_shape, w_shape, stride, padding, itemsize=4):
 # --------------------------------------------------------------------------- #
 class TestPaddingZeroNoCopy:
     def test_conv2d_padding_zero_never_pads(self, rng, monkeypatch):
-        """A 1x1/no-padding conv must not touch np.pad at all."""
+        """A no-padding conv hands the input itself to im2col, no copy."""
+        seen = []
+        real_im2col = F._im2col
 
-        def forbidden(*args, **kwargs):  # pragma: no cover - the assertion
-            raise AssertionError("np.pad called for a padding=0 conv2d")
+        def recording(xp, *args):
+            seen.append(xp)
+            return real_im2col(xp, *args)
 
-        monkeypatch.setattr(np, "pad", forbidden)
-        x = Tensor(rng.normal(size=(2, 4, 6, 6)), requires_grad=True)
-        w = Tensor(rng.normal(size=(3, 4, 1, 1)), requires_grad=True)
-        F.conv2d(x, w, stride=1, padding=0).sum().backward()
+        monkeypatch.setattr(F, "_im2col", recording)
+        for k in (1, 3):
+            x = Tensor(rng.normal(size=(2, 4, 6, 6)), requires_grad=True)
+            w = Tensor(rng.normal(size=(3, 4, k, k)), requires_grad=True)
+            F.conv2d(x, w, stride=1, padding=0).sum().backward()
+            assert seen.pop() is x.data
 
 
 class TestFusedReluContiguity:
@@ -132,5 +137,6 @@ class TestScratchMeter:
         thread = threading.Thread(target=worker)
         thread.start()
         thread.join(timeout=60)
+        assert not thread.is_alive()
         assert worker_peak["bytes"] == conv_scratch_bytes(x.shape, w.shape, 1, 1)
         assert workspace_stats()["bytes_peak"] == 0
