@@ -18,10 +18,10 @@ Schema (version 1) — every record carries ``"v": 1``:
 
 ``evaluate`` spans may carry kernel-runtime attributes in ``attrs`` —
 ``workspace_bytes_peak`` (the largest single-kernel scratch measured by
-the latency probe), plus ``predicted_act_mem``
-/ ``drift_act_mem_pct`` when the cost model made an activation-memory
-prediction.  These are ordinary attrs under the existing forward-compat
-contract; no schema bump is needed.
+the latency probe), plus ``predicted_act_mem`` / ``drift_act_mem_pct``
+when the cost model made an activation-memory prediction.  These are
+ordinary attrs under the existing forward-compat contract; no schema bump
+is needed.
 
 Forward compatibility: readers must ignore record types and fields they do
 not recognise, and must skip unparseable lines rather than fail — a newer

@@ -1,4 +1,5 @@
-"""Golden-regression tests for the surrogate evaluator's measured metrics.
+"""Golden-regression tests for the surrogate evaluator's measured metrics
+and for the hot nn kernels.
 
 Params/PR/FLOPs/FR, the surrogate accuracy, the charged cost and the
 per-step cost vector for a fixed set of reference schemes on the two paper
@@ -8,6 +9,10 @@ scheme evaluated after its 1-step prefix, so the evaluator's prefix resume
 and incremental charging are covered too.  Any refactor of the model
 builders, compression surgery, accuracy surrogate or cost accounting that
 shifts these numbers fails here first — loudly and with the exact delta.
+
+Forward values and gradients of ``conv2d``, ``avg_pool2d``,
+``quant_conv2d`` and a whole ResNet-8 are pinned to
+``tests/goldens/kernels.json``.
 
 To intentionally re-baseline after a behaviour-changing PR::
 
@@ -19,9 +24,14 @@ then review the JSON diff before committing.
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.experiments.common import EXPERIMENTS, make_evaluator
+from repro.models import resnet8
+from repro.nn import Tensor
+from repro.nn import functional as F
+from repro.nn.quant import quant_conv2d, quantize_weight
 from repro.space import CompressionScheme, StrategySpace
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "surrogate_metrics.json"
@@ -132,13 +142,6 @@ KERNEL_POOL_CASES = [(2, 2, 8), (3, 1, 7), (3, 2, 9)]
 
 def _kernel_outputs() -> dict:
     """Every pinned kernel array, keyed ``group/case/quantity``."""
-    import numpy as np
-
-    from repro.models import resnet8
-    from repro.nn import Tensor
-    from repro.nn import functional as F
-    from repro.nn.quant import quant_conv2d, quantize_weight
-
     arrays = {}
     rng = np.random.default_rng(0)
     for case in KERNEL_CONV_CASES:
@@ -146,8 +149,8 @@ def _kernel_outputs() -> dict:
         xd = rng.normal(size=(n, c, h, w)).astype(np.float32)
         wd = rng.normal(size=(f, c, k, k)).astype(np.float32)
         bd = rng.normal(size=(f,)).astype(np.float32)
-        gd = rng.normal(size=(n, f, (h + 2 * padding - k) // stride + 1,
-                              (w + 2 * padding - k) // stride + 1)).astype(np.float32)
+        ho, wo = (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
+        gd = rng.normal(size=(n, f, ho, wo)).astype(np.float32)
         for activation in (None, "relu"):
             x = Tensor(xd.copy(), requires_grad=True)
             wt = Tensor(wd.copy(), requires_grad=True)
@@ -209,8 +212,6 @@ def test_kernels_match_goldens(update_goldens):
     ``tests/goldens/kernels.json``.  The tolerance absorbs BLAS differences
     between machines; regenerating on the machine that wrote the file must
     leave it byte-identical unless a kernel's arithmetic changed."""
-    import numpy as np
-
     measured = _kernel_outputs()
     if update_goldens:
         KERNEL_GOLDEN_PATH.write_text(_dump_kernel_goldens(measured))
