@@ -1,5 +1,9 @@
 """Conv kernel allocation properties and the scratch meter (repro.nn.workspace).
 
+* *bit-identity* — the single kernel path gives the same bits on a cold
+  and a warm call, for every drawn conv geometry (hypothesis) and for the
+  pooling paths, gradients included, and agrees with a direct-loop float64
+  reference;
 * *allocation bugfixes stay fixed* — ``padding == 0`` never copies the
   input (an old path paid a full padding copy on every 1x1 conv), and
   the fused-ReLU clamp really happens in the output buffer (an old
@@ -16,6 +20,9 @@ Kernel values and gradients are pinned in ``tests/goldens/kernels.json``
 import threading
 
 import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import EvaluatorConfig
 from repro.core.evaluator import SurrogateEvaluator
@@ -47,6 +54,103 @@ def conv_scratch_bytes(x_shape, w_shape, stride, padding, itemsize=4):
     pointwise = kh == kw == stride == 1
     patches = 0 if pointwise else n * c * kh * kw * ho * wo * itemsize
     return padded + patches
+
+
+def reference_conv(data, stride, padding, relu_mask=None):
+    """out/dx/dw/db of conv2d under an all-ones upstream gradient, by direct
+    loops over the kernel taps in float64.  ``relu_mask`` (the kernel's own
+    ``out > 0``) gates the backward exactly as the fused ReLU does."""
+    xd, wd, bd = (a.astype(np.float64) for a in data)
+    n, c, h, w = xd.shape
+    f, _, kh, kw = wd.shape
+    xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
+    out = np.broadcast_to(bd[None, :, None, None], (n, f, ho, wo)).copy()
+    for u in range(kh):
+        for v in range(kw):
+            window = xp[:, :, u : u + stride * ho : stride, v : v + stride * wo : stride]
+            out += np.einsum("nchw,fc->nfhw", window, wd[:, :, u, v])
+    if relu_mask is not None:
+        out = np.maximum(out, 0.0)
+    g = np.ones_like(out) if relu_mask is None else relu_mask.astype(np.float64)
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(wd)
+    for u in range(kh):
+        for v in range(kw):
+            window = xp[:, :, u : u + stride * ho : stride, v : v + stride * wo : stride]
+            dw[:, :, u, v] = np.einsum("nfhw,nchw->fc", g, window)
+            dxp[:, :, u : u + stride * ho : stride, v : v + stride * wo : stride] += (
+                np.einsum("nfhw,fc->nchw", g, wd[:, :, u, v])
+            )
+    dx = dxp[:, :, padding : padding + h, padding : padding + w]
+    return out, dx, dw, g.sum(axis=(0, 2, 3))
+
+
+def reference_avg_pool(xd, kernel, stride):
+    """out/dx of avg_pool2d under an all-ones upstream gradient, by loops."""
+    n, c, h, w = xd.shape
+    ho, wo = (h - kernel) // stride + 1, (w - kernel) // stride + 1
+    out = np.zeros((n, c, ho, wo))
+    dx = np.zeros((n, c, h, w))
+    for i in range(ho):
+        for j in range(wo):
+            rows = slice(i * stride, i * stride + kernel)
+            cols = slice(j * stride, j * stride + kernel)
+            out[:, :, i, j] = xd[:, :, rows, cols].astype(np.float64).mean(axis=(2, 3))
+            dx[:, :, rows, cols] += 1.0 / (kernel * kernel)
+    return out, dx
+
+
+# --------------------------------------------------------------------------- #
+# Cold == warm bit for bit, and agreement with a direct-loop reference
+# --------------------------------------------------------------------------- #
+class TestPlannedBitIdentity:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        c=st.integers(1, 5),
+        h=st.integers(3, 11),
+        f=st.integers(1, 6),
+        k=st.integers(1, 4),
+        stride=st.integers(1, 3),
+        padding=st.integers(0, 2),
+        relu=st.booleans(),
+    )
+    def test_conv2d(self, n, c, h, f, k, stride, padding, relu):
+        assume(h + 2 * padding >= k)
+        rng = np.random.default_rng(n * 1000 + c * 100 + h * 10 + f + k + stride)
+        data = (
+            rng.normal(size=(n, c, h, h)).astype(np.float32),
+            rng.normal(size=(f, c, k, k)).astype(np.float32),
+            rng.normal(size=(f,)).astype(np.float32),
+        )
+        activation = "relu" if relu else None
+        cold = conv_outputs(data, stride, padding, activation)
+        warm = conv_outputs(data, stride, padding, activation)
+        reference = reference_conv(data, stride, padding, cold[0] > 0 if relu else None)
+        for name, a, b, r in zip(("out", "dx", "dw", "db"), cold, warm, reference):
+            np.testing.assert_array_equal(b, a, err_msg=f"{name} (warm vs cold)")
+            assert a.shape == r.shape, name
+            np.testing.assert_allclose(a, r, rtol=1e-4, atol=1e-4, err_msg=name)
+
+    @pytest.mark.parametrize("kernel,stride,size", [(2, 2, 8), (3, 1, 7), (3, 2, 9)])
+    def test_avg_pool2d(self, rng, kernel, stride, size):
+        xd = rng.normal(size=(2, 3, size, size)).astype(np.float32)
+
+        def run():
+            x = Tensor(xd.copy(), requires_grad=True)
+            out = F.avg_pool2d(x, kernel=kernel, stride=stride)
+            out.backward(np.ones(out.shape, dtype=np.float32))
+            return out.data.copy(), x.grad.copy()
+
+        cold_out, cold_dx = run()
+        warm_out, warm_dx = run()
+        np.testing.assert_array_equal(warm_out, cold_out)
+        np.testing.assert_array_equal(warm_dx, cold_dx)
+        ref_out, ref_dx = reference_avg_pool(xd, kernel, stride)
+        np.testing.assert_allclose(cold_out, ref_out, rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(cold_dx, ref_dx, rtol=1e-5, atol=1e-6)
 
 
 # --------------------------------------------------------------------------- #
