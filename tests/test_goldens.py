@@ -14,6 +14,11 @@ Forward values and gradients of ``conv2d``, ``avg_pool2d``,
 ``quant_conv2d`` and a whole ResNet-8 are pinned to
 ``tests/goldens/kernels.json``.
 
+A full-size progressive search (Algorithm 2 over the whole 4,230-strategy
+space, default :class:`~repro.core.progressive.ProgressiveConfig`) is pinned
+to ``tests/goldens/progressive_search.json``: the ordered evaluated schemes
+and the final front's params/FLOPs/accuracy.
+
 To intentionally re-baseline after a behaviour-changing PR::
 
     pytest tests/test_goldens.py --update-goldens
@@ -27,12 +32,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.progressive import ProgressiveConfig
+from repro.core.solver import run_solver
 from repro.experiments.common import EXPERIMENTS, make_evaluator
+from repro.knowledge.embedding import StrategyEmbeddings
 from repro.models import resnet8
 from repro.nn import Tensor
 from repro.nn import functional as F
 from repro.nn.quant import quant_conv2d, quantize_weight
 from repro.space import CompressionScheme, StrategySpace
+
+from .test_solver_api import make_evaluator as make_resnet20_evaluator
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "surrogate_metrics.json"
 
@@ -225,3 +235,56 @@ def test_kernels_match_goldens(update_goldens):
         np.testing.assert_allclose(
             got["values"], golden["values"], rtol=1e-6, atol=1e-6, err_msg=key
         )
+
+
+# --------------------------------------------------------------------------- #
+# Progressive-search golden: full-size F_mo rounds over the whole space
+# --------------------------------------------------------------------------- #
+PROGRESSIVE_GOLDEN_PATH = Path(__file__).parent / "goldens" / "progressive_search.json"
+
+
+def _progressive_run(space: StrategySpace) -> dict:
+    """Five full-size rounds (~34k scored options each) on ResNet-20."""
+    table = np.random.default_rng(0).normal(0, 0.1, size=(len(space), 16))
+    evaluator = make_resnet20_evaluator(seed=0)
+    result = run_solver(
+        "progressive", evaluator, space,
+        gamma=0.3, budget_hours=3.0, seed=0,
+        embeddings=StrategyEmbeddings(table=table, space=space),
+        config=ProgressiveConfig(),
+    )
+    return {
+        "rounds": result.rounds,
+        "evaluated": list(evaluator.results),
+        "front": [
+            {
+                "scheme": r.scheme.identifier,
+                "params": int(r.params),
+                "flops": int(r.flops),
+                "accuracy": r.accuracy,
+            }
+            for r in result.front
+        ],
+    }
+
+
+def test_progressive_search_matches_goldens(space, update_goldens):
+    """Which schemes a seeded full-size progressive search evaluates, in
+    order, and what its front measures.  Any change to F_mo scoring, the
+    Pareto selection of options or the pruning planners shows up here."""
+    measured = _progressive_run(space)
+    if update_goldens:
+        PROGRESSIVE_GOLDEN_PATH.write_text(json.dumps(measured, indent=2) + "\n")
+        pytest.skip("progressive goldens regenerated; review the diff")
+
+    golden = json.loads(PROGRESSIVE_GOLDEN_PATH.read_text())
+    assert golden["rounds"] >= 4
+    assert measured["rounds"] == golden["rounds"]
+    assert measured["evaluated"] == golden["evaluated"]
+    assert [m["scheme"] for m in measured["front"]] == [
+        g["scheme"] for g in golden["front"]
+    ]
+    for got, expected in zip(measured["front"], golden["front"]):
+        assert got["params"] == expected["params"], got["scheme"]
+        assert got["flops"] == expected["flops"], got["scheme"]
+        assert got["accuracy"] == pytest.approx(expected["accuracy"], rel=1e-12), got["scheme"]
