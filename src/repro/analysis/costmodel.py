@@ -62,7 +62,10 @@ import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..compression.hooi import choose_tucker_ranks, tucker2_params
+from ..compression.surgery import greedy_removal
 from ..space.scheme import CompressionScheme
 from .diagnostics import Report
 from .graph import ModelGraph, trace_model
@@ -569,11 +572,11 @@ def _plan_removal(
 ) -> Tuple[List[int], int]:
     """Mirror of ``plan_global_pruning`` over expected score order statistics.
 
-    The real planner removes channels in ascending-score order with frozen
-    per-unit costs, per-unit floors, and a stop-at-budget rule; this replays
-    exactly that greedy, with each unit's scores replaced by their expected
-    order statistics under ``mode`` (see ``_PLAN_MODES``).  Returns per-unit
-    drop counts and the planned parameter removal (overshoot bounded by one
+    Runs the real planner's greedy (:func:`greedy_removal`: ascending-score
+    order with frozen per-unit costs, per-unit floors, and a stop-at-budget
+    rule) with each unit's scores replaced by their expected order
+    statistics under ``mode`` (see ``_PLAN_MODES``).  Returns per-unit drop
+    counts and the planned parameter removal (overshoot bounded by one
     channel, like the greedy).
     """
     n = [model.unit_channels(u) for u in units]
@@ -581,23 +584,12 @@ def _plan_removal(
         max(min_channels, int(math.ceil(ni * (1.0 - max_ratio)))) for ni in n
     ]
     costs = [model.params_per_channel(u) for u in units]
-    candidates: List[Tuple[float, int]] = []
-    for i, unit in enumerate(units):
-        fan_in = model.unit_fan_in(unit)
-        for score in _expected_scores(mode, n[i], fan_in, costs[i]):
-            candidates.append((score, i))
-    candidates.sort(key=lambda t: t[0])  # stable: ties keep unit order
-
-    drops = [0] * len(units)
-    removed = 0
-    for _, i in candidates:
-        if removed >= budget:
-            break
-        if n[i] - drops[i] - 1 < limits[i]:
-            continue
-        drops[i] += 1
-        removed += costs[i]
-    return drops, removed
+    unit_scores = [
+        np.asarray(_expected_scores(mode, n[i], model.unit_fan_in(unit), costs[i]))
+        for i, unit in enumerate(units)
+    ]
+    dropped, removed = greedy_removal(unit_scores, limits, costs, budget)
+    return [int(mask.sum()) for mask in dropped], removed
 
 
 def _abstract_prune(

@@ -82,9 +82,6 @@ class AMCSolver(Solver):
         self.critic = _Critic(hidden, net_rng)
         self.actor_opt = Adam(self.actor.parameters(), lr=actor_lr)
         self.critic_opt = Adam(self.critic.parameters(), lr=critic_lr)
-        self._param_steps = np.array(
-            [strategy.space[i].param_step for i in range(len(strategy.space))]
-        )
         #: (state, clipped action, episode reward) transitions
         self._replay: List[Tuple[np.ndarray, float, float]] = []
         #: the round's (scheme, transitions) episodes awaiting rewards
@@ -116,11 +113,11 @@ class AMCSolver(Solver):
             # Budget clip: the action can never exceed the remaining
             # nominal-PR headroom (AMC's constrained action space).
             action = float(np.clip(action, 0.0, remaining))
-            usable = self._param_steps <= remaining + 1e-9
+            usable = self.space.param_steps <= remaining + 1e-9
             if not usable.any():
                 break
             distance = np.where(
-                usable, np.abs(self._param_steps - action), np.inf
+                usable, np.abs(self.space.param_steps - action), np.inf
             )
             index = int(np.argmin(distance))
             chosen = self.space[index]

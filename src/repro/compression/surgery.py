@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -192,6 +192,39 @@ class PruningPlan:
         return self.params_removed / max(total_params, 1)
 
 
+def greedy_removal(
+    unit_scores: Sequence[np.ndarray],
+    limits: Sequence[int],
+    costs: Sequence[int],
+    budget: float,
+) -> Tuple[List[np.ndarray], int]:
+    """The global pruning greedy, over every unit's channels at once.
+
+    Channels go in ascending score order across all units; the sort is
+    stable, so tied scores go in (unit, channel) order.  A channel of unit
+    ``u`` is eligible while fewer than ``len(unit_scores[u]) - limits[u]``
+    of its unit's channels came before it, and an eligible channel is taken
+    while the eligible channels before it cost (``costs[u]`` parameters
+    each) less than ``budget``.  Scores must not be NaN.
+
+    Returns each unit's boolean "dropped" mask and the parameters removed.
+    """
+    counts = np.array([len(s) for s in unit_scores], dtype=np.int64)
+    flat = np.concatenate([np.empty(0), *unit_scores])
+    order = np.argsort(flat, kind="stable")
+    unit = np.repeat(np.arange(len(counts)), counts)[order]
+    # each channel's rank among its own unit's channels, in removal order
+    by_unit = np.argsort(unit, kind="stable")
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[by_unit] = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
+    eligible = rank < (counts - np.asarray(limits, dtype=np.int64))[unit]
+    cost = np.where(eligible, np.asarray(costs, dtype=np.int64)[unit], 0)
+    taken = eligible & (np.cumsum(cost) - cost < budget)
+    dropped = np.zeros(len(order), dtype=bool)
+    dropped[order[taken]] = True
+    return np.split(dropped, np.cumsum(counts))[:-1], int(cost[taken].sum())
+
+
 def plan_global_pruning(
     units: Sequence[PrunableUnit],
     scores: Dict[str, np.ndarray],
@@ -201,45 +234,27 @@ def plan_global_pruning(
 ) -> PruningPlan:
     """Plan the removal of the lowest-scored channels across all units.
 
-    Channels are removed in ascending score order (globally) until at least
-    ``param_budget`` parameters would be removed, while each unit keeps at
-    least ``min_channels`` channels and loses at most ``max_ratio`` of them.
+    Channels are removed in ascending score order (globally; tied scores in
+    (unit, channel) order) until at least ``param_budget`` parameters would
+    be removed, while each unit keeps at least ``min_channels`` channels and
+    loses at most ``max_ratio`` of them.  See :func:`greedy_removal`.
     """
-    candidates = []  # (score, unit_index, channel)
-    limits = []
-    for ui, unit in enumerate(units):
-        unit_scores = np.asarray(scores[unit.name], dtype=np.float64)
-        if unit_scores.shape[0] != unit.out_channels:
+    unit_scores = [np.asarray(scores[unit.name], dtype=np.float64) for unit in units]
+    for unit, values in zip(units, unit_scores):
+        if values.shape[0] != unit.out_channels:
             raise SurgeryError(
-                f"score length {unit_scores.shape[0]} != channels "
+                f"score length {values.shape[0]} != channels "
                 f"{unit.out_channels} for {unit.name}"
             )
-        n = unit.out_channels
-        limits.append(max(min_channels, int(np.ceil(n * (1.0 - max_ratio)))))
-        for ch in range(n):
-            candidates.append((unit_scores[ch], ui, ch))
-    candidates.sort(key=lambda t: t[0])
-
-    removed_per_unit = [0] * len(units)
-    drop: List[List[int]] = [[] for _ in units]
-    costs = [params_per_channel(u) for u in units]
-    removed_params = 0
-    for score, ui, ch in candidates:
-        if removed_params >= param_budget:
-            break
-        unit = units[ui]
-        if unit.out_channels - removed_per_unit[ui] - 1 < limits[ui]:
-            continue
-        drop[ui].append(ch)
-        removed_per_unit[ui] += 1
-        removed_params += costs[ui]
-
-    keep = {}
-    for ui, unit in enumerate(units):
-        mask = np.ones(unit.out_channels, dtype=bool)
-        mask[np.asarray(drop[ui], dtype=np.int64)] = False
-        keep[unit.name] = np.flatnonzero(mask)
-    return PruningPlan(keep=keep, params_removed=removed_params)
+    limits = [
+        max(min_channels, int(np.ceil(unit.out_channels * (1.0 - max_ratio))))
+        for unit in units
+    ]
+    dropped, removed = greedy_removal(
+        unit_scores, limits, [params_per_channel(u) for u in units], param_budget
+    )
+    keep = {unit.name: np.flatnonzero(~mask) for unit, mask in zip(units, dropped)}
+    return PruningPlan(keep=keep, params_removed=removed)
 
 
 def execute_plan(units: Sequence[PrunableUnit], plan: PruningPlan) -> None:

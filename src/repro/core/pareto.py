@@ -12,18 +12,30 @@ import numpy as np
 
 
 def pareto_mask(points: np.ndarray) -> np.ndarray:
-    """Boolean mask of non-dominated rows (all objectives maximised)."""
+    """Boolean mask of non-dominated rows of ``(n, 2)`` points (maximised).
+
+    Domination is strict: equal rows all survive, and a row containing NaN
+    is kept and dominates nothing.  A sort-and-sweep in O(n log n): after
+    ordering by first objective descending (second descending within ties),
+    a row is dominated when an earlier x-group reaches its second objective,
+    or a row of its own x-group strictly exceeds it.
+    """
     points = np.asarray(points, dtype=np.float64)
-    n = len(points)
-    mask = np.ones(n, dtype=bool)
-    for i in range(n):
-        if not mask[i]:
-            continue
-        dominated_by_i = np.all(points <= points[i], axis=1) & np.any(
-            points < points[i], axis=1
-        )
-        mask &= ~dominated_by_i
-        mask[i] = True
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ValueError("pareto_mask expects (n, 2) points")
+    mask = np.ones(len(points), dtype=bool)
+    rows = np.flatnonzero(~np.isnan(points).any(axis=1))
+    order = rows[np.lexsort((-points[rows, 1], -points[rows, 0]))]
+    x, y = points[order, 0], points[order, 1]
+    new_group = np.ones(len(order), dtype=bool)
+    new_group[1:] = x[1:] != x[:-1]
+    group = np.cumsum(new_group) - 1
+    top = y[new_group]  # each x-group's largest second objective
+    best_before = np.maximum.accumulate(top)
+    dominated = y < top[group]
+    later = group > 0
+    dominated[later] |= y[later] <= best_before[group[later] - 1]
+    mask[order[dominated]] = False
     return mask
 
 

@@ -24,7 +24,7 @@ implementation, so seeded results are bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -37,6 +37,15 @@ from .interface import Evaluator
 from .pareto import pareto_indices, select_diverse
 from .search import SearchResult, SearchStrategy
 from .solver import Solver, register_solver
+
+
+class Options(NamedTuple):
+    """One round's scored (seq, s) options as parallel arrays."""
+
+    parent: np.ndarray     # index of the option's parent seq in H_sub
+    candidate: np.ndarray  # strategy index s into the space
+    acc_proj: np.ndarray   # Eq. 4 projected ACC
+    par_proj: np.ndarray   # Eq. 4 projected PAR
 
 
 @dataclass
@@ -142,11 +151,11 @@ class ProgressiveSolver(Solver):
     # ------------------------------------------------------------------ #
     def _score_round(
         self, h_sub: List[EvaluationResult], round_index: int
-    ) -> List[Tuple[EvaluationResult, int, float, float]]:
-        """All (seq, s) options with Eq. 4 projections (ACC, -PAR)."""
-        options: List[Tuple[EvaluationResult, int, float, float]] = []
+    ) -> Options:
+        """All (seq, s) options with Eq. 4 projections, as parallel arrays."""
+        scored: List[Options] = []
         noise_scale = self.config.exploration_noise / np.sqrt(1 + round_index)
-        for result in h_sub:
+        for p, result in enumerate(h_sub):
             mask = self._unexplored[result.scheme.identifier]
             candidates = np.flatnonzero(mask)
             if len(candidates) == 0:
@@ -157,8 +166,7 @@ class ProgressiveSolver(Solver):
                 )
             # Budget filter: drop candidates whose nominal PR would explode.
             nominal = result.scheme.total_param_step
-            steps = np.array([self.space[int(i)].param_step for i in candidates])
-            keep = nominal + steps <= self.config.max_nominal_pr
+            keep = nominal + self.space.param_steps[candidates] <= self.config.max_nominal_pr
             candidates = candidates[keep]
             if len(candidates) == 0:
                 continue
@@ -184,12 +192,14 @@ class ProgressiveSolver(Solver):
             )
             acc_proj = result.accuracy * (1.0 + predictions[:, 0])  # Eq. 4 ACC
             par_proj = result.params * (1.0 - predictions[:, 1])    # Eq. 4 PAR
-            for cand, acc, par in zip(candidates, acc_proj, par_proj):
-                options.append((result, int(cand), float(acc), float(par)))
-        return options
+            parent = np.full(len(candidates), p, dtype=np.int64)
+            scored.append(Options(parent, candidates, acc_proj, par_proj))
+        if not scored:
+            return Options(*(np.empty(0, dtype=t) for t in (np.int64, np.int64, float, float)))
+        return Options(*(np.concatenate(column) for column in zip(*scored)))
 
     def _select_pareto_options(
-        self, options: List[Tuple[EvaluationResult, int, float, float]]
+        self, h_sub: List[EvaluationResult], options: Options
     ) -> List[Tuple[EvaluationResult, int]]:
         """ParetoO = argmax [ACC, -PAR], capped and diversity-selected.
 
@@ -199,23 +209,22 @@ class ProgressiveSolver(Solver):
         PR >= γ, so that region is where evaluations buy the most; the rest
         is spread over the whole front by crowding distance (exploration).
         """
-        if not options:
+        if len(options.candidate) == 0:
             return []
-        points = np.array([[acc, -par] for (_, _, acc, par) in options])
-        front = pareto_indices(points)
+        points = np.stack([options.acc_proj, -options.par_proj], axis=1)
         budget = self.config.evals_per_round
 
-        base_params = max(
-            next(iter(self._results_by_id.values())).base_params, 1
-        )
-        pr_projected = np.array([1.0 - par / base_params for (_, _, _, par) in options])
         chosen: List[int] = []
         if self.config.feasible_bias:
-            feasible_front = [
-                int(i) for i in front if self.gamma <= pr_projected[i] <= 0.8
-            ]
-            feasible_front.sort(key=lambda i: -points[i, 0])  # by projected ACC
-            chosen = feasible_front[: max(budget // 2, 1)]
+            base_params = max(
+                next(iter(self._results_by_id.values())).base_params, 1
+            )
+            front = pareto_indices(points)
+            pr_projected = 1.0 - options.par_proj[front] / base_params
+            feasible = front[(self.gamma <= pr_projected) & (pr_projected <= 0.8)]
+            # by projected ACC; stable, so ties keep option order
+            feasible = feasible[np.argsort(-points[feasible, 0], kind="stable")]
+            chosen = [int(i) for i in feasible[: max(budget // 2, 1)]]
 
         remaining = budget - len(chosen)
         if remaining > 0:
@@ -224,7 +233,7 @@ class ProgressiveSolver(Solver):
                 if int(i) not in chosen and remaining > 0:
                     chosen.append(int(i))
                     remaining -= 1
-        return [(options[i][0], options[i][1]) for i in chosen]
+        return [(h_sub[options.parent[i]], int(options.candidate[i])) for i in chosen]
 
     # ------------------------------------------------------------------ #
     def setup(self) -> None:
@@ -237,9 +246,9 @@ class ProgressiveSolver(Solver):
             self._selected = []
             return []
         options = self._score_round(h_sub, self._round_index)
-        selected = self._select_pareto_options(options)
+        selected = self._select_pareto_options(h_sub, options)
         self._round_attrs = {
-            "parents": len(h_sub), "options": len(options), "selected": len(selected)
+            "parents": len(h_sub), "options": len(options.candidate), "selected": len(selected)
         }
         self._selected = selected
         return [parent.scheme.extend(self.space[c]) for parent, c in selected]

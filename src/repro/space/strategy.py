@@ -11,6 +11,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..compression import EXTENSION_METHODS, METHODS, CompressionMethod
 from .hyperparams import HP_GRID, METHOD_HPS
 
@@ -94,6 +96,9 @@ class StrategySpace:
                 )
                 self._strategies.append(strategy)
                 self._by_id[strategy.identifier] = strategy
+        #: read-only float64 array of every strategy's ``param_step`` (HP2)
+        self.param_steps = np.array([s.param_step for s in self._strategies], dtype=np.float64)
+        self.param_steps.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self._strategies)

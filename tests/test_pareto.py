@@ -16,6 +16,30 @@ from repro.core.pareto import (
 )
 
 
+def brute_force_pareto_mask(points):
+    """The O(n^2) reference: drop every row some other row strictly dominates."""
+    points = np.asarray(points, dtype=np.float64)
+    n = len(points)
+    mask = np.ones(n, dtype=bool)
+    for i in range(n):
+        if not mask[i]:
+            continue
+        dominated_by_i = np.all(points <= points[i], axis=1) & np.any(
+            points < points[i], axis=1
+        )
+        mask &= ~dominated_by_i
+        mask[i] = True
+    return mask
+
+
+#: small integer grid plus the special values, so ties, duplicates, infinities
+#: and NaNs are all common
+_SPECIAL = st.sampled_from([-np.inf, np.inf, np.nan, -0.0])
+_GRID_VALUE = st.one_of(
+    st.integers(-3, 3).map(float), _SPECIAL, st.floats(-2, 2, allow_nan=False)
+)
+
+
 def _points(n=8):
     return arrays(
         np.float64,
@@ -37,6 +61,40 @@ class TestParetoMask:
 
     def test_single_point(self):
         assert pareto_mask(np.array([[3.0, 4.0]])).all()
+
+    def test_empty(self):
+        assert pareto_mask(np.zeros((0, 2))).shape == (0,)
+
+    def test_infinities_compare_like_numbers(self):
+        points = np.array([[np.inf, -np.inf], [0.0, -np.inf], [-np.inf, np.inf]])
+        np.testing.assert_array_equal(pareto_mask(points), [True, False, True])
+
+    def test_nan_row_kept_and_dominates_nothing(self):
+        points = np.array([[np.nan, 5.0], [1.0, 1.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(pareto_mask(points), [True, True, False])
+
+    @pytest.mark.parametrize("shape", [(4, 3), (4, 1), (4,), (2, 2, 2)])
+    def test_non_2d_objectives_raise(self, shape):
+        with pytest.raises(ValueError, match=r"\(n, 2\)"):
+            pareto_mask(np.zeros(shape))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 12).flatmap(
+            lambda n: arrays(np.float64, (n, 2), elements=_GRID_VALUE)
+        )
+    )
+    def test_matches_brute_force(self, points):
+        np.testing.assert_array_equal(pareto_mask(points), brute_force_pareto_mask(points))
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_tiny_inputs_match_brute_force(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            points = rng.choice([-np.inf, -1.0, 0.0, 1.0, np.inf, np.nan], size=(n, 2))
+            np.testing.assert_array_equal(
+                pareto_mask(points), brute_force_pareto_mask(points)
+            )
 
     def test_indices_consistent(self):
         points = np.array([[1, 0], [0, 1], [0.5, 0.5], [0.1, 0.1]])

@@ -52,6 +52,7 @@ class TestStrategy:
     def test_param_step_reads_hp2(self, space):
         s = space.of_method("C3")[0]
         assert s.param_step == s.hp["HP2"]
+        assert space.param_steps.tolist() == [s.param_step for s in space]
 
     def test_method_resolution(self, space):
         s = space.of_method("C2")[0]

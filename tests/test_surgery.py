@@ -19,7 +19,7 @@ from repro.compression.surgery import (
     prune_unit,
     uniform_width_scale,
 )
-from repro.models import resnet8, vgg8_tiny
+from repro.models import resnet8, resnet56, vgg8_tiny, vgg16
 from repro.nn import Tensor, profile_model
 
 
@@ -137,6 +137,83 @@ class TestGlobalPlanning:
         assert removed == before - model.num_parameters()
         assert removed >= 0.95 * budget
         _forward_ok(model)
+
+
+def reference_plan(units, scores, param_budget, max_ratio=0.9, min_channels=1):
+    """The channel-at-a-time greedy ``plan_global_pruning`` replaced, as
+    (keep per unit, params removed)."""
+    candidates = []  # (score, unit_index, channel)
+    limits = []
+    for ui, unit in enumerate(units):
+        unit_scores = np.asarray(scores[unit.name], dtype=np.float64)
+        n = unit.out_channels
+        limits.append(max(min_channels, int(np.ceil(n * (1.0 - max_ratio)))))
+        for ch in range(n):
+            candidates.append((unit_scores[ch], ui, ch))
+    candidates.sort(key=lambda t: t[0])
+
+    removed_per_unit = [0] * len(units)
+    drop = [[] for _ in units]
+    costs = [params_per_channel(u) for u in units]
+    removed_params = 0
+    for score, ui, ch in candidates:
+        if removed_params >= param_budget:
+            break
+        if units[ui].out_channels - removed_per_unit[ui] - 1 < limits[ui]:
+            continue
+        drop[ui].append(ch)
+        removed_per_unit[ui] += 1
+        removed_params += costs[ui]
+
+    keep = {}
+    for ui, unit in enumerate(units):
+        mask = np.ones(unit.out_channels, dtype=bool)
+        mask[np.asarray(drop[ui], dtype=np.int64)] = False
+        keep[unit.name] = np.flatnonzero(mask)
+    return keep, removed_params
+
+
+@pytest.fixture(scope="module")
+def paper_units():
+    """Pruning units of the two paper models, built once."""
+    return {"resnet56": resnet56().pruning_units(), "vgg16": vgg16().pruning_units()}
+
+
+def _scores(units, kind):
+    if kind == "l2":
+        return {u.name: filter_l2_norms(u) for u in units}
+    if kind == "coarse":  # few distinct values: ties across and within units
+        return {u.name: np.round(filter_l2_norms(u), 1) for u in units}
+    return {u.name: np.ones(u.out_channels) for u in units}  # all tied
+
+
+class TestGreedyMatchesReference:
+    @pytest.mark.parametrize("model", ["resnet56", "vgg16"])
+    @pytest.mark.parametrize("kind", ["l2", "coarse", "tied"])
+    @pytest.mark.parametrize("max_ratio", [0.3, 0.9, 1.0])
+    @pytest.mark.parametrize("min_channels", [1, 4])
+    @pytest.mark.parametrize("budget", ["zero", "one", "fifth", "over_total"])
+    def test_same_plan(self, paper_units, model, kind, max_ratio, min_channels, budget):
+        units = paper_units[model]
+        total = sum(params_per_channel(u) * u.out_channels for u in units)
+        param_budget = {"zero": 0, "one": 1, "fifth": total // 5, "over_total": total + 1}[budget]
+        scores = _scores(units, kind)
+        plan = plan_global_pruning(
+            units, scores, param_budget, max_ratio=max_ratio, min_channels=min_channels
+        )
+        keep, removed = reference_plan(
+            units, scores, param_budget, max_ratio=max_ratio, min_channels=min_channels
+        )
+        assert plan.params_removed == removed
+        assert type(plan.params_removed) is int
+        assert list(plan.keep) == list(keep)
+        for name, kept in keep.items():
+            np.testing.assert_array_equal(plan.keep[name], kept, err_msg=name)
+            assert plan.keep[name].dtype == kept.dtype
+
+    def test_empty_unit_list(self):
+        plan = plan_global_pruning([], {}, param_budget=100)
+        assert plan.keep == {} and plan.params_removed == 0
 
 
 class TestPruneByScores:
