@@ -1,8 +1,12 @@
 """Tests for parameter/FLOP accounting."""
 
+import copy
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.models import resnet20, resnet56, vgg16
+from repro.models import available_models, create_model, resnet20, resnet56, vgg16
 from repro.nn import (
     Conv2d,
     GlobalAvgPool2d,
@@ -13,6 +17,9 @@ from repro.nn import (
     count_params,
     profile_model,
 )
+from repro.space import StrategySpace
+
+from .test_costmodel import apply_scheme
 
 
 class TestCounting:
@@ -69,3 +76,44 @@ class TestPaperNumbers:
     def test_str_format(self):
         profile = profile_model(resnet20(), (3, 32, 32))
         assert "params" in str(profile) and "FLOPs" in str(profile)
+
+
+# --------------------------------------------------------------------------- #
+# Pinned costs of compressed zoo models
+# --------------------------------------------------------------------------- #
+MODEL_COSTS_PATH = Path(__file__).parent / "goldens" / "model_costs.json"
+
+#: the costmodel_tolerance.json battery plus real PTQ: int8, fp16, prune -> int8
+PINNED_SCHEMES = json.loads(
+    (Path(__file__).parent / "goldens" / "costmodel_tolerance.json").read_text()
+)["scheme_battery"] + [
+    "C8[HP19=int8,HP20=2]",
+    "C8[HP19=fp16,HP20=2]",
+    "C4[HP2=0.28,HP9=0.1,HP10=3] -> C8[HP19=int8,HP20=2]",
+]
+
+
+def _measure_costs(name: str) -> dict:
+    space = StrategySpace(include_quantization=True)
+    base = create_model(name)
+    base_params = base.num_parameters()
+    measured = {}
+    for text in PINNED_SCHEMES:
+        model = apply_scheme(copy.deepcopy(base), space.parse_scheme(text), base_params)
+        profile = profile_model(model)
+        measured[text] = {"params": profile.params, "flops": profile.flops}
+    return measured
+
+
+@pytest.mark.parametrize("name", available_models())
+def test_model_costs_match_goldens(name, update_goldens):
+    """P(M)/F(M) of every zoo model after each pinned scheme, exactly."""
+    measured = _measure_costs(name)
+    if update_goldens:
+        goldens = json.loads(MODEL_COSTS_PATH.read_text()) if MODEL_COSTS_PATH.exists() else {}
+        goldens[name] = measured
+        MODEL_COSTS_PATH.write_text(json.dumps(goldens, indent=2, sort_keys=True) + "\n")
+        pytest.skip(f"model costs for {name} regenerated; review the diff")
+
+    goldens = json.loads(MODEL_COSTS_PATH.read_text())
+    assert measured == goldens[name]
