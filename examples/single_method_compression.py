@@ -11,10 +11,11 @@ Run:  python examples/single_method_compression.py        (~1-2 minutes)
 
 import copy
 
+from repro.analysis import profile_model
 from repro.compression import ExecutionContext, get_method
 from repro.data import tiny_dataset
 from repro.models import vgg8_tiny
-from repro.nn import Trainer, evaluate_accuracy, profile_model
+from repro.nn import Trainer, evaluate_accuracy
 
 
 def main() -> None:

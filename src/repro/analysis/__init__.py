@@ -17,6 +17,8 @@ Three passes, one severity model (``ok``/``warning``/``error``), structured
   of compression schemes predicting post-scheme params/FLOPs/memory/latency
   without surgery; :class:`Budget` turns predictions into ``S###``
   feasibility rules the linter and evaluators enforce pre-cost.
+  :func:`profile_model` measures a concrete model's P(M)/F(M) from the
+  same traced graph.
 * **Repo linter** (:mod:`repro.analysis.repolint`) — AST-based invariant
   checks on the source tree itself (``R###`` rules), run in CI.
 
@@ -29,9 +31,13 @@ from .costmodel import (
     AbstractModel,
     Budget,
     CostPrediction,
+    ModelProfile,
     S_RULES,
     SchemeCostModel,
     check_budget,
+    count_flops,
+    count_params,
+    profile_model,
 )
 from .diagnostics import Diagnostic, Report, Severity, VerificationError
 from .graph import GraphNode, GraphTracer, ModelGraph, TensorSpec, trace_model
@@ -55,6 +61,7 @@ __all__ = [
     "GraphNode",
     "GraphTracer",
     "ModelGraph",
+    "ModelProfile",
     "Report",
     "S_RULES",
     "SchemeCostModel",
@@ -66,9 +73,12 @@ __all__ = [
     "assert_valid",
     "check_budget",
     "check_finite_parameters",
+    "count_flops",
+    "count_params",
     "detect_anomaly",
     "infer_output_spec",
     "lint_scheme",
+    "profile_model",
     "trace_model",
     "verify_checkpoint",
     "verify_model",

@@ -1,4 +1,11 @@
-"""Static cost model: abstract interpretation of compression schemes.
+"""P(M)/F(M) of a model, and the static cost model of compression schemes.
+
+:func:`profile_model` measures a model's parameter count and FLOPs — the
+P(M) and F(M) of the paper (§3.1).  FLOPs come from shape propagation:
+:func:`count_flops` sums :meth:`_Op.flops` over the nodes of
+:func:`~repro.analysis.graph.trace_model`, so no forward pass runs.
+Multiply-adds count as two FLOPs (the convention that makes the paper's
+VGG-16 / CIFAR figure come out at 0.63 GFLOPs).
 
 A :class:`SchemeCostModel` evaluates a
 :class:`~repro.space.scheme.CompressionScheme` *symbolically*: starting from
@@ -260,7 +267,7 @@ class _Op:
         return 0
 
     def flops(self) -> int:
-        """FLOPs at batch size 1, matching the runtime's profiling sink."""
+        """FLOPs at batch size 1 of the kernels this op runs (2 per MAC)."""
         if self.kind == "conv":
             area = (self.h_out or 1) * (self.w_out or 1)
             macs = area * self.out_ch * self.in_ch * self.kernel * self.kernel
@@ -323,12 +330,19 @@ class _Unit:
 _KIND_BY_NODE = {
     "Conv2d": "conv",
     "Conv2dReLU": "conv",
+    "QuantizedConv2d": "conv",
     "TuckerConv2d": "tucker",
     "BasisConv2d": "basis",
     "BatchNorm2d": "bn",
     "Linear": "linear",
+    "QuantizedLinear": "linear",
     "AddReLU": "add_relu",
 }
+
+
+def _has_bias(module) -> bool:
+    """Float layers hold ``bias``; their quantized twins hold ``qbias``."""
+    return getattr(module, "bias", getattr(module, "qbias", None)) is not None
 
 
 class AbstractModel:
@@ -398,7 +412,7 @@ class AbstractModel:
             op.kernel = int(getattr(module, "kernel_size", 1))
             op.stride = int(getattr(module, "stride", 1))
             op.padding = int(getattr(module, "padding", 0))
-            op.bias = getattr(module, "bias", None) is not None
+            op.bias = _has_bias(module)
             if kind == "tucker":
                 op.r_out, op.r_in = module.ranks
             elif kind == "basis":
@@ -409,7 +423,7 @@ class AbstractModel:
         elif kind == "linear":
             op.in_ch = module.in_features
             op.out_ch = module.out_features
-            op.bias = getattr(module, "bias", None) is not None
+            op.bias = _has_bias(module)
         elif kind == "add_relu":
             op.in_ch = node.inputs.channels
             op.out_ch = node.output.channels
@@ -937,3 +951,54 @@ def check_budget(
     for rule, message, expected, actual in budget.violations(prediction):
         report.error(rule, "budget", message, expected=expected, actual=actual)
     return prediction
+
+
+# --------------------------------------------------------------------------- #
+# P(M) and F(M) of a concrete model
+# --------------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class ModelProfile:
+    """Cost profile of a model on a given input resolution."""
+
+    params: int
+    flops: int
+
+    @property
+    def params_m(self) -> float:
+        """Parameter count in millions."""
+        return self.params / 1e6
+
+    @property
+    def flops_g(self) -> float:
+        """FLOPs per input sample, in billions."""
+        return self.flops / 1e9
+
+    def __str__(self) -> str:
+        return f"{self.params_m:.2f}M params, {self.flops_g:.3f}G FLOPs"
+
+
+def count_params(model) -> int:
+    """Total trainable parameter count of a model."""
+    return model.num_parameters()
+
+
+def count_flops(model, input_shape: Tuple[int, ...]) -> int:
+    """FLOPs of one forward pass on a single input of ``input_shape``.
+
+    ``input_shape`` is ``(C, H, W)`` or ``(features,)``.  The count is read
+    off the traced graph of the model as it stands, so it runs no forward
+    pass.  Raises ``ValueError`` when the trace skips a module it cannot
+    follow (V010) or finds a structure that cannot execute.
+    """
+    report = Report(subject=type(model).__name__)
+    graph = trace_model(model, input_shape=input_shape, report=report)
+    blocking = report.errors + report.by_rule("V010")
+    if blocking:
+        lines = "\n".join(d.format() for d in blocking)
+        raise ValueError(f"cannot count FLOPs of {report.subject}:\n{lines}")
+    return sum(AbstractModel._op_from_node(node).flops() for node in graph.nodes)
+
+
+def profile_model(model, input_shape: Tuple[int, ...] = (3, 32, 32)) -> ModelProfile:
+    """Measure both the parameter count and per-sample FLOPs of ``model``."""
+    return ModelProfile(params=count_params(model), flops=count_flops(model, input_shape))

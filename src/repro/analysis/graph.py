@@ -28,8 +28,10 @@ merge emits one ``AddReLU`` node (the runtime's ``F.add_relu`` fused op), a
 ``Conv2d`` whose ``activation`` attribute is ``"relu"`` is recorded as a
 single ``Conv2dReLU`` node (``conv2d(..., activation="relu")``), and a
 ``BatchNorm2d`` is one node for the single fused normalise-scale-shift op
-that both the training and eval paths execute.  Cost models built on the
-graph therefore see exactly the ops the profiler counts.
+that both the training and eval paths execute.  The quantized twins
+``QuantizedConv2d`` / ``QuantizedLinear`` are conv and linear nodes.  The
+graph is what :func:`repro.analysis.costmodel.count_flops` sums, so P(M)/F(M)
+and the static cost model read one set of FLOP rules.
 
 Custom modules can opt into tracing by defining
 ``trace_static(tracer, spec, path) -> TensorSpec``.
@@ -58,6 +60,7 @@ from ..nn.layers import (
     ReLU,
     Sequential,
 )
+from ..nn.quant import QuantizedConv2d, QuantizedLinear
 from .diagnostics import Report
 
 
@@ -170,10 +173,12 @@ class GraphTracer:
             (BottleneckResNet, self._stem_blocks_head),
             (VGG, self._vgg),
             (Conv2d, self._conv),
+            (QuantizedConv2d, self._conv),
             (TuckerConv2d, self._tucker),
             (BasisConv2d, self._basis),
             (BatchNorm2d, self._bn),
             (Linear, self._linear),
+            (QuantizedLinear, self._linear),
             (MaxPool2d, self._pool),
             (AvgPool2d, self._pool),
             (GlobalAvgPool2d, self._global_pool),
@@ -477,11 +482,12 @@ def trace_model(
 ) -> ModelGraph:
     """Trace ``model`` on a symbolic input, returning the structural graph.
 
-    Diagnostics go into ``report`` when given (otherwise they are discarded —
-    use :func:`repro.analysis.verify_model` for the checking entry point).
+    ``input_shape`` is ``(C, H, W)`` for an image or ``(features,)`` for a
+    flat input.  Diagnostics go into ``report`` when given (otherwise they
+    are discarded — use :func:`repro.analysis.verify_model` for the checking
+    entry point).
     """
-    channels, height, width = input_shape
-    spec = TensorSpec(channels=channels, height=height, width=width)
+    spec = TensorSpec(*input_shape)
     tracer = GraphTracer(report if report is not None else Report(subject="trace"), spec)
     tracer.graph.output = tracer.trace(model, spec)
     return tracer.graph

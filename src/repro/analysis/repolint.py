@@ -19,18 +19,17 @@ R002  float64 is forbidden in the ``repro.nn`` hot paths
       (metrics, losses on teacher logits) may use float64 freely.
 
 R003  every registered runtime op needs a FLOPs rule
-      ``repro.nn.functional`` tags tensors with ``_register_op(out, name)``
-      so the profiler can attribute cost.  The static cost model
-      (:mod:`repro.analysis.costmodel`) must know how to count every such
-      op, so each registered name has to appear in
-      ``costmodel.OP_FLOP_RULES`` — otherwise abstract predictions
-      silently diverge from ``profile_model`` on models using the new op.
+      ``repro.nn.functional`` tags tensors with ``_register_op(out, name)``.
+      P(M)/F(M) and the static cost model both count FLOPs from the traced
+      graph (:mod:`repro.analysis.costmodel`), so each registered name has
+      to appear in ``costmodel.OP_FLOP_RULES`` — otherwise the graph count
+      silently drifts from what executes on models using the new op.
 
 R005  every quantized op needs a FLOPs rule
-      Same contract as R003, applied to ``repro.nn.quant``: the int8/fp16
-      inference kernels register op names for the profiler, and each must
-      appear in ``costmodel.OP_FLOP_RULES`` so abstract predictions cover
-      quantized models too.
+      Same contract as R003, applied to ``repro.nn.quant``: each op name
+      the int8/fp16 inference kernels register must appear in
+      ``costmodel.OP_FLOP_RULES`` so the graph count covers quantized
+      models too.
 
 R004  every ``Solver`` subclass must be registered
       Solvers are looked up by name through the registry in

@@ -65,7 +65,6 @@ def cmd_search(args) -> int:
     from .experiments.common import run_algorithm
 
     exp = {"exp1": "Exp1", "exp2": "Exp2"}[args.experiment]
-    name = args.solver if getattr(args, "solver", None) else args.algorithm
     space = None
     if getattr(args, "methods", None):
         from .space import StrategySpace
@@ -75,7 +74,7 @@ def cmd_search(args) -> int:
         from .space import StrategySpace
 
         space = StrategySpace(include_quantization=True)
-    result = run_algorithm(name, exp, _config(args), space=space)
+    result = run_algorithm(args.solver, exp, _config(args), space=space)
     print(result.summary())
     if result.engine_stats is not None:
         stats = result.engine_stats
@@ -673,13 +672,10 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     p.add_argument("experiment", choices=["exp1", "exp2"])
-    p.add_argument("--solver", default=None,
+    p.add_argument("--solver", default="progressive",
                    choices=["progressive", "random", "evolution", "grid",
                             "rl", "sa", "regevo", "amc"],
-                   help="solver registry name (overrides --algorithm)")
-    p.add_argument("--algorithm", default="AutoMC",
-                   choices=["AutoMC", "Evolution", "RL", "Random"],
-                   help="legacy algorithm label (prefer --solver)")
+                   help="solver registry name (default: progressive, AutoMC)")
     p.add_argument("--workers", type=int, default=0,
                    help="evaluation worker processes (0 = serial, same results)")
     p.add_argument("--cache-dir", dest="cache_dir", default=None,

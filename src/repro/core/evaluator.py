@@ -45,12 +45,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..analysis.costmodel import Budget, SchemeCostModel
+from ..analysis.costmodel import Budget, SchemeCostModel, profile_model
 from ..analysis.diagnostics import Report
 from ..analysis.linter import SchemeRejected, lint_scheme
 from ..compression import ExecutionContext, StepReport
 from ..data.tasks import CompressionTask
-from ..nn import Module, Trainer, evaluate_accuracy, profile_model
+from ..nn import Module, Trainer, evaluate_accuracy
 from ..obs import NULL_TRACER
 from ..sim.accuracy import AccuracyModel
 from ..space.scheme import CompressionScheme
@@ -835,7 +835,8 @@ class SurrogateEvaluator(SchemeEvaluator):
             rng=step_rng,
         )
         # Cost proxy: training FLOPs scale roughly with the remaining
-        # parameter fraction (avoids a full profiling forward per step).
+        # parameter fraction.  It stays a proxy, not the graph count,
+        # because charged step costs are pinned in the surrogate goldens.
         flops_g = (self.base_flops / 1e9) * (params_after / self.base_params)
         return report, _step_cost(report, flops_g, self.data_fraction), accuracy
 

@@ -81,7 +81,7 @@ EXP2 = CompressionTask(
 
 def task_from_dataset(dataset, model, model_name: str, accuracy: float) -> CompressionTask:
     """Build a task descriptor by profiling a live model on a live dataset."""
-    from ..nn.profile import profile_model
+    from ..analysis.costmodel import profile_model
 
     prof = profile_model(model, (dataset.channels, dataset.image_size, dataset.image_size))
     return CompressionTask(

@@ -124,7 +124,8 @@ def transfer_evaluator(exp_name: str, model_name: str, seed: int = 0) -> Surroga
     return make_evaluator(model_name, dataset_name, task, seed=seed)
 
 
-#: legacy algorithm names accepted by run_algorithm / the CLI --algorithm flag
+#: legacy algorithm labels accepted by run_algorithm (the label map of the
+#: table and figure harnesses)
 LEGACY_SOLVER_NAMES: Dict[str, str] = {
     "AutoMC": "progressive",
     "Random": "random",

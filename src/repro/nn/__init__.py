@@ -7,7 +7,6 @@ Public surface:
 * :mod:`repro.nn.functional` — stateless ops
 * optimizers and LR schedules
 * :class:`~repro.nn.train.Trainer` / :func:`evaluate_accuracy`
-* :func:`~repro.nn.profile.profile_model` — P(M) and F(M) measurement
 * :mod:`repro.nn.workspace` — the per-thread scratch high-water meter
   (``workspace_stats`` / ``reset_workspace_peak``): the largest transient
   scratch a single conv kernel allocated since the last reset
@@ -31,7 +30,6 @@ from .layers import (
 )
 from .metrics import confusion_matrix, evaluate_metrics, per_class_accuracy, top_k_accuracy
 from .optim import SGD, Adam, CosineSchedule, Optimizer, StepSchedule
-from .profile import ModelProfile, count_flops, count_params, profile_model
 from .quant import (
     QuantizedConv2d,
     QuantizedLinear,
@@ -67,7 +65,6 @@ __all__ = [
     "Identity",
     "Linear",
     "MaxPool2d",
-    "ModelProfile",
     "Module",
     "Optimizer",
     "Parameter",
@@ -83,8 +80,6 @@ __all__ = [
     "calibrate_module",
     "concat",
     "confusion_matrix",
-    "count_flops",
-    "count_params",
     "default_dtype",
     "fold_batchnorm",
     "evaluate_accuracy",
@@ -101,7 +96,6 @@ __all__ = [
     "load_model",
     "load_state",
     "losses",
-    "profile_model",
     "quantize_module",
     "quantized_bits",
     "save_model",

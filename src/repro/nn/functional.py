@@ -21,7 +21,6 @@ the evaluator's latency probe reads as ``workspace_bytes_peak``.
 
 from __future__ import annotations
 
-import threading
 from typing import Optional, Tuple
 
 import numpy as np
@@ -29,21 +28,6 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .tensor import Tensor, _register_op, _unbroadcast
 from .workspace import record_scratch
-
-# Optional sink used by repro.nn.profile to count FLOPs during a forward
-# pass.  When a thread sets ``_PROFILE.sink``, conv2d/linear/batch_norm/
-# add_relu on *that thread* call ``sink(name, flops)``.  Thread-local on
-# purpose: concurrent engines (one per search job in `repro serve`) profile
-# models on their own threads, and a shared global sink would interleave
-# their counts — corrupting base FLOPs and, through them, the evaluator
-# fingerprints that key the shared snapshot store.
-_PROFILE = threading.local()
-
-
-def _profile_sink():
-    """This thread's FLOP-counting sink, or ``None`` when not profiling."""
-    return getattr(_PROFILE, "sink", None)
-
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     """(N, C, H, W) -> (N, C*kh*kw, Ho*Wo) transposed patch matrix.
@@ -124,10 +108,6 @@ def conv2d(
     wmat = weight.data.reshape(f, -1)  # (F, C*kh*kw)
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (w + 2 * padding - kw) // stride + 1
-    sink = _profile_sink()
-    if sink is not None:
-        macs = n * ho * wo * f * c * kh * kw
-        sink("conv2d", 2 * macs + (n * ho * wo * f if bias is not None else 0))
     xp = x.data
     if padding:
         xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.data.dtype)
@@ -177,13 +157,6 @@ def conv2d(
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Affine map ``x @ weight.T + bias`` for (N, in) input and (out, in) weight."""
-    sink = _profile_sink()
-    if sink is not None:
-        rows = int(np.prod(x.shape[:-1]))
-        macs = rows * weight.shape[0] * weight.shape[1]
-        # The bias add counts one FLOP per output element, exactly as conv2d
-        # counts its bias, so fused/unfused model profiles agree.
-        sink("linear", 2 * macs + (rows * weight.shape[0] if bias is not None else 0))
     out = x @ weight.T
     if bias is not None:
         out = out + bias
@@ -201,9 +174,6 @@ def add_relu(a: Tensor, b: Tensor) -> Tensor:
     b = b if isinstance(b, Tensor) else Tensor(b)
     out = a.data + b.data
     np.maximum(out, 0.0, out=out)
-    sink = _profile_sink()
-    if sink is not None:
-        sink("add_relu", out.size)
 
     def backward(grad: np.ndarray) -> None:
         g = grad * (out > 0)
@@ -308,9 +278,6 @@ def batch_norm(
     axes = (0, 2, 3) if x.ndim == 4 else (0,)
     shape = (1, -1, 1, 1) if x.ndim == 4 else (1, -1)
     dtype = x.dtype
-    sink = _profile_sink()
-    if sink is not None:
-        sink("batch_norm", 2 * x.size)
     if training:
         # One pass for the statistics: np.var would subtract the mean all
         # over again, and the centred array doubles as the x_hat buffer.

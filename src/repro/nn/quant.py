@@ -43,7 +43,6 @@ from typing import Iterable, Optional, Tuple, Union
 import numpy as np
 
 from . import functional as F
-from .functional import _profile_sink
 from .layers import BatchNorm2d, Conv2d, Identity, Linear, Module, Parameter
 from .tensor import Tensor, _register_op, no_grad
 from .workspace import record_scratch
@@ -150,10 +149,6 @@ def quant_conv2d(
         raise ValueError(f"quant_conv2d channel mismatch: input {c} vs weight {c_w}")
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (w + 2 * padding - kw) // stride + 1
-    sink = _profile_sink()
-    if sink is not None:
-        macs = n * ho * wo * f * c * kh * kw
-        sink("quant_conv2d", 2 * macs + (n * ho * wo * f if bias is not None else 0))
 
     if wtaps is None:
         wtaps = np.ascontiguousarray(
@@ -198,13 +193,6 @@ def quant_linear(
     values, fused requantization.  ``wmat`` accepts the precomputed
     ``(in, out)`` float32 weight transpose.
     """
-    out_features, in_features = qweight.shape
-    sink = _profile_sink()
-    if sink is not None:
-        rows = int(np.prod(x.shape[:-1]))
-        macs = rows * out_features * in_features
-        sink("quant_linear", 2 * macs + (rows * out_features if bias is not None else 0))
-
     xq, x_scale = quantize_activation(x.data, x_scale)
     if wmat is None:
         wmat = np.ascontiguousarray(qweight.T.astype(np.float32))  # (in, out)

@@ -42,7 +42,18 @@ from repro.compression.surgery import (
 from repro.core.config import EvaluatorConfig
 from repro.core.evaluator import SchemeEvaluator
 from repro.models import available_models, create_model, resnet8, vgg8_tiny
-from repro.nn import Conv2d, Flatten, Linear, Module, Sequential, Tensor, Trainer
+from repro.nn import (
+    Conv2d,
+    Flatten,
+    Linear,
+    Module,
+    QuantizedConv2d,
+    QuantizedLinear,
+    Sequential,
+    Tensor,
+    Trainer,
+    quantize_module,
+)
 from repro.nn.serialization import load_state, save_model
 from repro.space import CompressionScheme, make_strategy
 from repro.space.strategy import CompressionStrategy
@@ -75,6 +86,14 @@ class TestVerifierCleanModels:
         report = verify_model(create_model(name), name=name)
         assert report.is_clean, report.format(verbose=True)
         assert report.graph.output is not None
+
+    @pytest.mark.parametrize("mode", ["int8", "fp16"])
+    @pytest.mark.parametrize("name", ["resnet20", "vgg8_tiny"])
+    def test_quantized_models_verify_clean(self, name, mode):
+        model = quantize_module(create_model(name), mode=mode)
+        report = verify_model(model, name=f"{name}-{mode}")
+        assert "V010" not in report.rules(), report.format(verbose=True)
+        assert report.is_clean, report.format(verbose=True)
 
     def test_trace_graph_contents(self):
         graph = trace_model(resnet8(num_classes=4), input_shape=TINY_SHAPE)
@@ -124,6 +143,16 @@ class TestVerifierCorruptions:
         shrink_input(model.classifier, np.arange(model.classifier.in_features - 4))
         report = verify_model(model, input_shape=TINY_SHAPE)
         assert "V003" in report.rules()
+
+    def test_quantized_conv_mismatch_flagged_v001(self):
+        model = Sequential(QuantizedConv2d.from_float(Conv2d(4, 8, 3)))
+        report = verify_model(model, input_shape=TINY_SHAPE)
+        assert "V001" in report.rules(), report.format(verbose=True)
+
+    def test_quantized_linear_fanin_flagged_v003(self):
+        model = Sequential(Flatten(), QuantizedLinear.from_float(Linear(10, 2), mode="fp16"))
+        report = verify_model(model, input_shape=TINY_SHAPE)
+        assert "V003" in report.rules(), report.format(verbose=True)
 
     def test_conv_chain_mismatch_flagged_v001(self):
         model = vgg8_tiny(num_classes=4)

@@ -4,6 +4,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis import profile_model
 from repro.compression import METHODS, ExecutionContext
 from repro.compression.surgery import filter_l2_norms, prune_by_scores
 from repro.models import (
@@ -11,7 +12,7 @@ from repro.models import (
     resnet29_bottleneck,
     resnet164_bottleneck,
 )
-from repro.nn import Tensor, profile_model
+from repro.nn import Tensor
 
 
 class TestTopology:

@@ -12,12 +12,12 @@ class TestParser:
 
     def test_search_defaults(self):
         args = build_parser().parse_args(["search", "exp1"])
-        assert args.algorithm == "AutoMC"
+        assert args.solver == "progressive"
         assert args.budget == 30.0
 
-    def test_invalid_algorithm_rejected(self):
+    def test_invalid_solver_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["search", "exp1", "--algorithm", "SGD"])
+            build_parser().parse_args(["search", "exp1", "--solver", "SGD"])
 
     def test_figure_numbers(self):
         for n in ("4", "5", "6"):
@@ -75,13 +75,13 @@ class TestCommands:
         assert "KnowledgeGraph" in out
 
     def test_search_tiny_budget(self, capsys):
-        assert main(["search", "exp1", "--algorithm", "Random", "--budget", "0.5"]) == 0
+        assert main(["search", "exp1", "--solver", "random", "--budget", "0.5"]) == 0
         out = capsys.readouterr().out
         assert "Random" in out and "Pareto" in out
 
     def test_search_with_journal_then_summarize(self, capsys, tmp_path):
         journal = str(tmp_path / "run.jsonl")
-        assert main(["search", "exp1", "--algorithm", "Random", "--budget", "0.2",
+        assert main(["search", "exp1", "--solver", "random", "--budget", "0.2",
                      "--journal", journal]) == 0
         out = capsys.readouterr().out
         assert "run journal written" in out

@@ -3,7 +3,7 @@
 Three layers of guarantees:
 
 * the abstraction is *exact* on every untouched zoo architecture (params
-  and FLOPs match ``profile_model`` bit for bit);
+  and FLOPs match a forward pass counted at the kernels, bit for bit);
 * post-scheme predictions stay within the tolerances pinned in
   ``tests/goldens/costmodel_tolerance.json`` on every architecture;
 * budgets reject statically — zero simulated cost — and pruning the search
@@ -16,19 +16,16 @@ import os
 
 import pytest
 
-from repro.analysis import Budget, SchemeCostModel, lint_scheme
+from repro.analysis import Budget, SchemeCostModel, lint_scheme, profile_model
 from repro.analysis.linter import SchemeRejected
-from repro.compression import EXTENSION_METHODS, METHODS
-from repro.compression.base import ExecutionContext
 from repro.core.config import EvaluatorConfig
 from repro.data.tasks import EXP1, transfer_task
 from repro.models import available_models, create_model, resnet20
-from repro.nn.profile import profile_model
 from repro.space import StrategySpace
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "goldens", "costmodel_tolerance.json")
+from .test_profile import apply_scheme, reference_profile
 
-ALL_METHODS = {**METHODS, **EXTENSION_METHODS}
+GOLDEN = os.path.join(os.path.dirname(__file__), "goldens", "costmodel_tolerance.json")
 
 
 @pytest.fixture(scope="module")
@@ -42,21 +39,13 @@ def space():
     return StrategySpace(include_quantization=True)
 
 
-def apply_scheme(model, scheme, base_params):
-    """Run the real surgery for ``scheme`` on ``model`` (no training)."""
-    ctx = ExecutionContext(original_params=base_params, train_enabled=False)
-    for strategy in scheme:
-        ALL_METHODS[strategy.method_label].apply(model, strategy.hp, ctx)
-    return model
-
-
 # --------------------------------------------------------------------------- #
 # Exactness on base models
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("name", available_models())
 def test_base_model_exact(name):
     model = create_model(name)
-    measured = profile_model(model)
+    measured = reference_profile(model)
     predicted = SchemeCostModel(model).base_prediction
     assert predicted.params == measured.params
     assert predicted.flops == measured.flops

@@ -238,7 +238,6 @@ class TestCLISurface:
 
         args = build_parser().parse_args(["search", "exp1", "--solver", "sa"])
         assert args.solver == "sa"
-        assert args.algorithm == "AutoMC"  # legacy default untouched
 
     def test_solver_flag_rejects_unknown(self):
         from repro.cli import build_parser

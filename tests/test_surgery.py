@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import profile_model
 from repro.compression.surgery import (
     SurgeryError,
     bn_scale_magnitudes,
@@ -20,7 +21,7 @@ from repro.compression.surgery import (
     uniform_width_scale,
 )
 from repro.models import resnet8, resnet56, vgg8_tiny, vgg16
-from repro.nn import Tensor, profile_model
+from repro.nn import Tensor
 
 
 def _forward_ok(model, size=8):
