@@ -1,22 +1,22 @@
-"""Benchmark: prefix-affinity scheduling + snapshot store vs flat dispatch.
+"""Benchmark: the shared snapshot store vs the same engine without one.
 
 The workload mirrors one progressive-search round: four unrelated parent
 schemes (length 3) are evaluated first, the lanes are recycled (worker
-model LRUs die — the cross-round reality PR 2 could not survive), then all
-sixteen length-4 children arrive as one batch.
+model LRUs die, as they do between rounds), then all sixteen length-4
+children arrive as one batch.  Both engines group the batch by shared
+prefix and route each group to a lane.
 
-* **baseline** — PR 2-style engine: flat one-scheme-per-task dispatch, no
-  snapshot store.  Every child replays its 3-step parent prefix from
-  scratch: 16 x 4 = 64 steps.
-* **prefix** — prefix-affinity groups + shared disk snapshot store: every
-  child resumes its parent's trained model from disk and runs only its own
-  final step: 16 x 1 = 16 steps.
+* **baseline** — no snapshot store.  Every child replays its 3-step parent
+  prefix from scratch: 16 x 4 = 64 steps.
+* **store** — shared disk snapshot store: every child resumes its parent's
+  trained model from disk and runs only its own final step: 16 x 1 = 16
+  steps.
 
 The 4x step reduction is deterministic (counted, not timed), so the >= 2x
 acceptance gate holds on any machine; the wall-clock gate is skipped under
 ``REPRO_BENCH_SMOKE=1``.  Both engines must produce bit-identical results
-with identical charged simulated costs — the scheduler and the store only
-move wall-clock.
+with identical charged simulated costs — the store only moves wall-clock.
+The report is written to ``benchmarks/out/engine_prefix.json``.
 """
 
 import json
@@ -61,13 +61,9 @@ def _workload():
     return parents, children
 
 
-def _run_round(workers, snapshot_dir, prefix_affinity, parents, children):
+def _run_round(workers, snapshot_dir, parents, children):
     """Parents, lane recycle, then the child batch (timed + step-counted)."""
-    engine = EvaluationEngine(
-        _make_evaluator(snapshot_dir),
-        workers=workers,
-        prefix_affinity=prefix_affinity,
-    )
+    engine = EvaluationEngine(_make_evaluator(snapshot_dir), workers=workers)
     engine.evaluate_many(parents)
     engine.close()  # recycle lanes: in-memory model LRUs are gone
     steps_before = engine.steps_replayed
@@ -85,15 +81,13 @@ def _run_round(workers, snapshot_dir, prefix_affinity, parents, children):
     return results, stats
 
 
-def test_prefix_affinity_replays_fewer_steps(tmp_path):
+def test_snapshot_store_replays_fewer_steps(tmp_path):
     parents, children = _workload()
     workers = 2
 
-    baseline_results, baseline = _run_round(
-        workers, None, False, parents, children
-    )
-    prefix_results, prefix = _run_round(
-        workers, tmp_path / "snapshots", True, parents, children
+    baseline_results, baseline = _run_round(workers, None, parents, children)
+    store_results, store = _run_round(
+        workers, tmp_path / "snapshots", parents, children
     )
 
     identical = all(
@@ -102,10 +96,10 @@ def test_prefix_affinity_replays_fewer_steps(tmp_path):
         and a.params == b.params
         and a.cost == b.cost
         and a.step_costs == b.step_costs
-        for a, b in zip(baseline_results, prefix_results)
+        for a, b in zip(baseline_results, store_results)
     )
-    reduction = baseline["steps_replayed"] / max(1, prefix["steps_replayed"])
-    speedup = baseline["wall_s"] / prefix["wall_s"]
+    reduction = baseline["steps_replayed"] / max(1, store["steps_replayed"])
+    speedup = baseline["wall_s"] / store["wall_s"]
 
     report = {
         "workload": {
@@ -115,27 +109,27 @@ def test_prefix_affinity_replays_fewer_steps(tmp_path):
             "workers": workers,
         },
         "baseline": {
-            "dispatch": "flat (PR 2)",
+            "dispatch": "prefix groups, no snapshot store",
             "steps_replayed": baseline["steps_replayed"],
             "wall_s": round(baseline["wall_s"], 3),
         },
-        "prefix": {
-            "dispatch": "prefix-affinity + snapshot store",
-            "steps_replayed": prefix["steps_replayed"],
-            "wall_s": round(prefix["wall_s"], 3),
-            "snapshot_hits": prefix["snapshot_hits"],
-            "snapshot_steps_saved": prefix["snapshot_steps_saved"],
+        "store": {
+            "dispatch": "prefix groups + snapshot store",
+            "steps_replayed": store["steps_replayed"],
+            "wall_s": round(store["wall_s"], 3),
+            "snapshot_hits": store["snapshot_hits"],
+            "snapshot_steps_saved": store["snapshot_steps_saved"],
         },
         "step_reduction": round(reduction, 2),
         "wall_clock_speedup": round(speedup, 2),
         "bit_identical": identical,
-        "charged_cost_equal": baseline["total_cost"] == prefix["total_cost"],
+        "charged_cost_equal": baseline["total_cost"] == store["total_cost"],
         "smoke": SMOKE,
     }
-    write_report("BENCH_engine.json", json.dumps(report, indent=2, sort_keys=True))
+    write_report("engine_prefix.json", json.dumps(report, indent=2, sort_keys=True))
 
-    assert identical, "scheduler/snapshots changed results"
-    assert baseline["total_cost"] == prefix["total_cost"]
+    assert identical, "the snapshot store changed results"
+    assert baseline["total_cost"] == store["total_cost"]
     # acceptance gate: >= 2x fewer replayed steps on the child round
     assert reduction >= 2.0, report
     if not SMOKE:

@@ -295,7 +295,7 @@ class LanePool:
         self._closed = False
 
     # -- routing -----------------------------------------------------------
-    def route(self, group: Sequence[CompressionScheme], affinity: bool = True) -> int:
+    def route(self, group: Sequence[CompressionScheme]) -> int:
         """Pick a lane: deepest-known-prefix affinity, least-loaded fallback.
 
         The lane that most recently evaluated the group head's longest known
@@ -306,8 +306,6 @@ class LanePool:
         """
         with self._lock:
             least = min(range(self.workers), key=lambda i: (self._pending[i], i))
-            if not affinity:
-                return least
             head = group[0]
             for length in range(head.length - 1, 0, -1):
                 preferred = self._affinity.get(head.prefix(length).identifier)
@@ -640,12 +638,10 @@ class EvaluationEngine:
     ``model_name`` + picklable task/datasets) and raises ``ValueError`` at
     construction otherwise.
 
-    ``prefix_affinity=True`` (default) groups fresh schemes by shared prefix
-    and routes each group to the lane that last evaluated its prefix, so
-    worker model LRUs stay hot; ``False`` restores the flat round-robin
-    dispatch (one scheme per task, least-loaded lane) — same results, more
-    replayed steps.  ``cache_entries`` caps the persistent result cache
-    (``None`` → :data:`DEFAULT_CACHE_ENTRIES`).
+    Fresh schemes are grouped by shared prefix and each group is routed to
+    the lane that last evaluated its prefix, so worker model LRUs stay hot.
+    ``cache_entries`` caps the persistent result cache (``None`` →
+    :data:`DEFAULT_CACHE_ENTRIES`).
 
     ``lane_pool`` accepts a shared :class:`LanePool` instead of private
     lanes: the engine borrows the pool's lanes (``workers`` is taken from
@@ -665,7 +661,6 @@ class EvaluationEngine:
         workers: int = 0,
         cache_dir=None,
         cache_entries: Optional[int] = None,
-        prefix_affinity: bool = True,
         lane_pool: Optional[LanePool] = None,
     ):
         if lane_pool is not None:
@@ -674,7 +669,6 @@ class EvaluationEngine:
             raise ValueError("workers must be >= 0")
         self.evaluator = evaluator
         self.workers = workers
-        self.prefix_affinity = prefix_affinity
         if workers > 0:
             config = getattr(evaluator, "config", None)
             if config is None or not config.is_buildable:
@@ -907,12 +901,10 @@ class EvaluationEngine:
     def _dispatch(self, fresh: List[CompressionScheme]) -> Dict[str, object]:
         """Submit fresh schemes to worker lanes; stream completions back.
 
-        With prefix affinity on, the batch is partitioned by
-        :func:`plan_prefix_groups` (chunked so the largest family cannot
-        monopolise a lane) and each group runs as *one* task on its routed
-        lane — same process end to end, so later members resume earlier
-        members' models.  With affinity off, every scheme is its own
-        singleton group on the least-loaded lane (flat dispatch).  Returns
+        The batch is partitioned by :func:`plan_prefix_groups` (chunked so
+        the largest family cannot monopolise a lane) and each group runs as
+        *one* task on its routed lane — same process end to end, so later
+        members resume earlier members' models.  Returns
         ``{identifier: EvaluationResult | _WorkerFailure}``; completion
         *order* is timing-dependent but the caller merges in input order.
 
@@ -923,18 +915,10 @@ class EvaluationEngine:
         concurrent engines sharing the pool continue unaffected.
         """
         tracer = self.tracer
-        if self.prefix_affinity:
-            max_group = -(-len(fresh) // self.workers)  # ceil; balance lanes
-            groups = plan_prefix_groups(fresh, max_group=max_group)
-        else:
-            groups = [[scheme] for scheme in fresh]
+        max_group = -(-len(fresh) // self.workers)  # ceil; balance lanes
+        groups = plan_prefix_groups(fresh, max_group=max_group)
         if tracer.enabled:
-            span = tracer.start(
-                "engine.schedule",
-                fresh=len(fresh),
-                groups=len(groups),
-                affinity=self.prefix_affinity,
-            )
+            span = tracer.start("engine.schedule", fresh=len(fresh), groups=len(groups))
             tracer.finish(span)
 
         pool = self._pool_handle()
@@ -942,7 +926,7 @@ class EvaluationEngine:
         config = self.evaluator.config
         pending: Dict[object, tuple] = {}  # future → (group, lane index)
         for group in groups:
-            lane = pool.route(group, affinity=self.prefix_affinity)
+            lane = pool.route(group)
             pending[pool.submit(lane, token, config, group)] = (group, lane)
 
         outcomes: Dict[str, object] = {}

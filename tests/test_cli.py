@@ -35,22 +35,6 @@ class TestParser:
         assert args.journal == "run.jsonl"
         assert args.json is True
 
-    def test_bench_defaults(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.smoke is False
-        assert args.repeats == 5
-        assert args.only is None
-        assert args.output is None
-        assert args.suite == "nn"
-        assert args.compare is None
-
-    def test_bench_quant_suite_args(self):
-        args = build_parser().parse_args(
-            ["bench", "--suite", "quant", "--compare", "old.json"]
-        )
-        assert args.suite == "quant"
-        assert args.compare == "old.json"
-
     def test_search_quantization_args(self):
         args = build_parser().parse_args(
             ["search", "exp1", "--methods", "C3,C8", "--latency-batch", "8",
@@ -99,50 +83,6 @@ class TestCommands:
     def test_trace_summarize_missing_file(self, capsys, tmp_path):
         assert main(["trace", "summarize", str(tmp_path / "nope.jsonl")]) == 2
         assert "no such journal" in capsys.readouterr().err
-
-    def test_bench_smoke(self, capsys, tmp_path):
-        import json
-
-        report_path = str(tmp_path / "BENCH_nn.json")
-        assert main(["bench", "--smoke", "--repeats", "1",
-                     "--only", "batchnorm_eval", "--output", report_path]) == 0
-        out = capsys.readouterr().out
-        assert "batchnorm_eval" in out
-        payload = json.loads(open(report_path).read())
-        assert payload["sizes"] == "smoke"
-        assert payload["current"]["results_s"]["batchnorm_eval"] > 0
-
-    def test_bench_quant_smoke(self, capsys, tmp_path):
-        import json
-
-        report_path = str(tmp_path / "BENCH_quant.json")
-        assert main(["bench", "--suite", "quant", "--smoke", "--repeats", "1",
-                     "--output", report_path]) == 0
-        out = capsys.readouterr().out
-        assert "inference_int8" in out
-        payload = json.loads(open(report_path).read())
-        assert payload["suite"] == "repro.nn quantized inference"
-        assert payload["current"]["results_s"]["inference_int8"] > 0
-
-    def test_bench_compare_degrades_on_missing_baseline(self, capsys, tmp_path):
-        missing = str(tmp_path / "nope.json")
-        assert main(["bench", "--suite", "quant", "--smoke", "--repeats", "1",
-                     "--compare", missing]) == 0
-        captured = capsys.readouterr()
-        assert "no baseline usable" in captured.err
-        assert "recording fresh numbers" in captured.err
-        assert "inference_int8" in captured.out
-
-    def test_bench_compare_against_own_report(self, capsys, tmp_path):
-        report_path = str(tmp_path / "first.json")
-        assert main(["bench", "--smoke", "--repeats", "1",
-                     "--only", "batchnorm_eval", "--output", report_path]) == 0
-        capsys.readouterr()
-        assert main(["bench", "--smoke", "--repeats", "1",
-                     "--only", "batchnorm_eval", "--compare", report_path]) == 0
-        captured = capsys.readouterr()
-        assert "batchnorm_eval" in captured.out
-        assert "no baseline usable" not in captured.err
 
     def test_evaluate_scheme(self, capsys):
         code = main(["evaluate", "exp1", "C3[HP1=0.5,HP2=0.2,HP6=0.9]"])

@@ -127,6 +127,79 @@ class TestBatchNorm:
         assert beta.grad is not None
 
 
+class TestFusedMatchesReference:
+    """Fused kernels (conv+ReLU, add_relu, batch_norm) match the composition
+    of primitive ops, in values and gradients."""
+
+    RTOL, ATOL = 1e-5, 1e-5
+
+    def test_conv2d_fused_relu(self, rng):
+        x = Tensor(rng.normal(size=(2, 3, 8, 8)))
+        w = Tensor(rng.normal(size=(4, 3, 3, 3)))
+        b = Tensor(rng.normal(size=(4,)))
+        fused = F.conv2d(x, w, b, stride=1, padding=1, activation="relu")
+        reference = F.conv2d(x, w, b, stride=1, padding=1).relu()
+        np.testing.assert_allclose(fused.data, reference.data, rtol=self.RTOL, atol=self.ATOL)
+
+    def test_conv2d_fused_relu_gradients(self, rng):
+        x1 = Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
+        w1 = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+        x2 = Tensor(x1.data.copy(), requires_grad=True)
+        w2 = Tensor(w1.data.copy(), requires_grad=True)
+        F.conv2d(x1, w1, stride=1, padding=1, activation="relu").sum().backward()
+        F.conv2d(x2, w2, stride=1, padding=1).relu().sum().backward()
+        np.testing.assert_allclose(x1.grad, x2.grad, rtol=self.RTOL, atol=self.ATOL)
+        np.testing.assert_allclose(w1.grad, w2.grad, rtol=self.RTOL, atol=self.ATOL)
+
+    def test_add_relu(self, rng):
+        a = Tensor(rng.normal(size=(4, 8, 5, 5)), requires_grad=True)
+        b = Tensor(rng.normal(size=(4, 8, 5, 5)), requires_grad=True)
+        fused = F.add_relu(a, b)
+        reference = (Tensor(a.data.copy()) + Tensor(b.data.copy())).relu()
+        np.testing.assert_allclose(fused.data, reference.data, rtol=self.RTOL, atol=self.ATOL)
+
+    def test_add_relu_gradients(self, rng):
+        a1 = Tensor(rng.normal(size=(3, 4, 4, 4)), requires_grad=True)
+        b1 = Tensor(rng.normal(size=(3, 4, 4, 4)), requires_grad=True)
+        a2 = Tensor(a1.data.copy(), requires_grad=True)
+        b2 = Tensor(b1.data.copy(), requires_grad=True)
+        (F.add_relu(a1, b1) * 3.0).sum().backward()
+        ((a2 + b2).relu() * 3.0).sum().backward()
+        np.testing.assert_allclose(a1.grad, a2.grad, rtol=self.RTOL, atol=self.ATOL)
+        np.testing.assert_allclose(b1.grad, b2.grad, rtol=self.RTOL, atol=self.ATOL)
+
+    def test_batch_norm_training(self, rng):
+        x = rng.normal(size=(8, 5, 4, 4))
+        gamma = rng.normal(size=(5,)) + 1.0
+        beta = rng.normal(size=(5,))
+        rmean, rvar = np.zeros(5, np.float32), np.ones(5, np.float32)
+        out = F.batch_norm(
+            Tensor(x), Tensor(gamma), Tensor(beta), rmean.copy(), rvar.copy(),
+            training=True, eps=1e-5,
+        )
+        mean = x.mean(axis=(0, 2, 3), keepdims=True)
+        var = x.var(axis=(0, 2, 3), keepdims=True)
+        expected = (x - mean) / np.sqrt(var + 1e-5)
+        expected = expected * gamma.reshape(1, -1, 1, 1) + beta.reshape(1, -1, 1, 1)
+        np.testing.assert_allclose(out.data, expected, rtol=self.RTOL, atol=self.ATOL)
+
+    def test_batch_norm_eval(self, rng):
+        x = rng.normal(size=(8, 5, 4, 4))
+        gamma = rng.normal(size=(5,)) + 1.0
+        beta = rng.normal(size=(5,))
+        rmean = rng.normal(size=(5,)).astype(np.float32)
+        rvar = (rng.uniform(0.5, 2.0, size=(5,))).astype(np.float32)
+        out = F.batch_norm(
+            Tensor(x), Tensor(gamma), Tensor(beta), rmean, rvar,
+            training=False, eps=1e-5,
+        )
+        expected = (x - rmean.reshape(1, -1, 1, 1)) / np.sqrt(
+            rvar.reshape(1, -1, 1, 1).astype(np.float64) + 1e-5
+        )
+        expected = expected * gamma.reshape(1, -1, 1, 1) + beta.reshape(1, -1, 1, 1)
+        np.testing.assert_allclose(out.data, expected, rtol=self.RTOL, atol=self.ATOL)
+
+
 class TestSoftmax:
     def test_softmax_sums_to_one(self, rng):
         out = F.softmax(Tensor(rng.normal(size=(4, 7))))

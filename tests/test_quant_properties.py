@@ -11,6 +11,9 @@ Two families of invariants, hypothesis-drawn over shapes and data:
   shape, including 1x1 kernels, strides and padding.  The fast path
   accumulates int8 products in float32 BLAS, which is exact at these
   fan-ins, so the tolerance is float32 round-off only.
+
+A third family checks whole models: int8 and fp16 ResNets stay close to the
+float32 forward on the same weights.
 """
 
 import numpy as np
@@ -18,13 +21,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import Tensor
+from repro.models import resnet8
+from repro.nn import Tensor, no_grad
 from repro.nn.quant import (
     dequantize_weight,
     quant_conv2d,
     quant_linear,
     quantize_activation,
+    quantize_module,
     quantize_weight,
+    quantized_bits,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -146,20 +152,25 @@ class TestKernelExactness:
         expected = ref.astype(np.float64) * (x_scale * w_scale)[None, :]
         np.testing.assert_allclose(got, expected, rtol=1e-6, atol=1e-6)
 
-    @given(seed=seeds, stride=st.integers(1, 2))
-    @settings(max_examples=15, deadline=None)
-    def test_one_by_one_kernels_with_bias_and_relu(self, seed, stride):
-        """1x1 convs are the pointwise fast case — bias/ReLU fusion included."""
+    @given(
+        seed=seeds,
+        k=st.sampled_from([1, 3]),
+        stride=st.integers(1, 2),
+        padding=st.integers(0, 1),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_one_by_one_kernels_with_bias_and_relu(self, seed, k, stride, padding):
+        """Bias/ReLU fusion on the 1x1 pointwise fast case and on padded 3x3."""
         x = _normal(seed, (2, 4, 5, 5))
-        w = _normal(seed + 1, (3, 4, 1, 1))
+        w = _normal(seed + 1, (3, 4, k, k))
         b = _normal(seed + 2, (3,))
         qw, w_scale = quantize_weight(w)
         xq, x_scale = quantize_activation(x)
         got = quant_conv2d(
-            Tensor(x), qw, w_scale, bias=b, stride=stride,
+            Tensor(x), qw, w_scale, bias=b, stride=stride, padding=padding,
             x_scale=x_scale, activation="relu",
         ).data
-        ref = _conv2d_int64_reference(xq, qw, stride, 0).astype(np.float64)
+        ref = _conv2d_int64_reference(xq, qw, stride, padding).astype(np.float64)
         expected = np.maximum(
             ref * (x_scale * w_scale)[None, :, None, None] + b[None, :, None, None],
             0.0,
@@ -172,3 +183,49 @@ class TestKernelExactness:
         out = quant_linear(x, qw, w_scale)
         with pytest.raises(RuntimeError, match="inference-only"):
             out.sum().backward()
+
+
+# --------------------------------------------------------------------------- #
+# Whole-model accuracy: quantized vs float32 on the same weights
+# --------------------------------------------------------------------------- #
+class TestQuantizedModelAccuracy:
+    def _model_and_input(self, rng, batch=16):
+        model = resnet8(num_classes=10).eval()
+        x = rng.normal(size=(batch, 3, 16, 16)).astype(np.float32)
+        return model, x
+
+    def test_int8_close_to_float_and_argmax_agrees(self, rng):
+        model, x = self._model_and_input(rng)
+        with no_grad():
+            ref = model(Tensor(x)).data
+        quantize_module(model, mode="int8", calibration=[x])
+        assert quantized_bits(model) == 8
+        with no_grad():
+            got = model(Tensor(x)).data
+        rel = np.abs(got - ref).mean() / np.abs(ref).mean()
+        assert rel < 0.10, f"int8 logits drifted {rel:.3f} relative from float32"
+        agreement = (got.argmax(axis=1) == ref.argmax(axis=1)).mean()
+        assert agreement >= 0.85, f"int8 argmax agreement {agreement:.2f}"
+
+    def test_fp16_nearly_exact(self, rng):
+        model, x = self._model_and_input(rng)
+        with no_grad():
+            ref = model(Tensor(x)).data
+        quantize_module(model, mode="fp16")
+        assert quantized_bits(model) == 16
+        with no_grad():
+            got = model(Tensor(x)).data
+        rel = np.abs(got - ref).mean() / np.abs(ref).mean()
+        assert rel < 5e-3, f"fp16 logits drifted {rel:.5f} relative from float32"
+
+    def test_static_scales_close_to_dynamic(self, rng):
+        model, x = self._model_and_input(rng)
+        dynamic = resnet8(num_classes=10).eval()
+        dynamic.load_state_dict(model.state_dict())
+        quantize_module(model, mode="int8", calibration=[x])  # static scales
+        quantize_module(dynamic, mode="int8")                 # per-batch scales
+        with no_grad():
+            a = model(Tensor(x)).data
+            b = dynamic(Tensor(x)).data
+        rel = np.abs(a - b).mean() / max(np.abs(b).mean(), 1e-12)
+        assert rel < 0.05, f"calibrated scales diverge {rel:.3f} from dynamic"
