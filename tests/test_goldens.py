@@ -288,3 +288,85 @@ def test_progressive_search_matches_goldens(space, update_goldens):
         assert got["params"] == expected["params"], got["scheme"]
         assert got["flops"] == expected["flops"], got["scheme"]
         assert got["accuracy"] == pytest.approx(expected["accuracy"], rel=1e-12), got["scheme"]
+
+
+# --------------------------------------------------------------------------- #
+# run_algorithm golden: the harness path from config to finished search
+# --------------------------------------------------------------------------- #
+RUN_ALGORITHM_GOLDEN_PATH = Path(__file__).parent / "goldens" / "run_algorithm.json"
+
+#: a seconds-range Exp1 run with a params cap, so the static-budget and
+#: cost-model drift stats land in ``engine_stats``; no engine wrap
+RUN_ALGORITHM_CONFIG = dict(
+    budget_hours=0.6,
+    embedding_rounds=1,
+    transr_epochs_per_round=1,
+    nn_exp_epochs_per_round=3,
+    sample_size=2,
+    evals_per_round=2,
+    candidate_subsample=48,
+    seed=0,
+    max_params=800_000,
+)
+
+
+def _run_algorithm_outcome(solver: str, journal: Path) -> dict:
+    from repro.experiments.common import ExperimentConfig, run_algorithm
+    from repro.obs import summarize_journal
+
+    config = ExperimentConfig(journal=str(journal), **RUN_ALGORITHM_CONFIG)
+    result = run_algorithm(solver, "Exp1", config)
+    return {
+        "algorithm": result.algorithm,
+        "front": [
+            {
+                "scheme": r.scheme.identifier,
+                "params": int(r.params),
+                "flops": int(r.flops),
+                "accuracy": r.accuracy,
+            }
+            for r in result.front
+        ],
+        "total_cost": result.total_cost,
+        "evaluations": result.evaluations,
+        "engine_stats": result.engine_stats,
+        "journal_run": summarize_journal(journal).run,
+    }
+
+
+def _assert_same(got, expected, where="run_algorithm"):
+    """Exact structure, ints and strings; floats to 1e-12 (platform noise)."""
+    if isinstance(expected, dict):
+        assert isinstance(got, dict) and set(got) == set(expected), where
+        for key in expected:
+            _assert_same(got[key], expected[key], f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert isinstance(got, list) and len(got) == len(expected), where
+        for i, (g, e) in enumerate(zip(got, expected)):
+            _assert_same(g, e, f"{where}[{i}]")
+    elif isinstance(expected, float):
+        assert got == pytest.approx(expected, rel=1e-12), where
+    else:
+        assert got == expected, where
+
+
+def test_run_algorithm_matches_goldens(tmp_path, update_goldens):
+    """What ``run_algorithm`` hands back for the progressive and random
+    solvers on Exp1: the front, charged cost, evaluation count, budget and
+    drift stats, and the run header of its journal.  Any change in how the
+    harness assembles a search (embeddings, experience, solver options,
+    tracer wiring) shows up here."""
+    measured = {
+        solver: _run_algorithm_outcome(solver, tmp_path / f"{solver}.jsonl")
+        for solver in ("progressive", "random")
+    }
+    if update_goldens:
+        RUN_ALGORITHM_GOLDEN_PATH.write_text(
+            json.dumps(measured, indent=2, sort_keys=True) + "\n"
+        )
+        pytest.skip("run_algorithm goldens regenerated; review the diff")
+
+    golden = json.loads(RUN_ALGORITHM_GOLDEN_PATH.read_text())
+    for solver in golden:
+        assert golden[solver]["front"], f"{solver}: empty golden front"
+    _assert_same(measured, golden)
