@@ -876,24 +876,11 @@ class EvaluationEngine:
                 span = tracer.start(
                     "evaluate", scheme=scheme.identifier, steps=scheme.length, parallel=True
                 )
-                span.add_cost(cost)
-                span.set(params=result.params, pr=result.pr, accuracy=result.accuracy)
-                if result.workspace_bytes_peak:
-                    span.set(workspace_bytes_peak=result.workspace_bytes_peak)
+                evaluator._annotate(result, span)
                 tracer.finish(span)
-                tracer.metrics.counter("evaluations.fresh").inc()
-            if result.workspace_bytes_peak > evaluator.workspace_bytes_peak:
-                # Workers measured the scratch footprint in their own
-                # process; fold the max back so prediction_drift() and the
-                # report see engine runs too.
-                evaluator.workspace_bytes_peak = result.workspace_bytes_peak
-                if tracer.enabled:
-                    tracer.metrics.gauge("nn.workspace_bytes_peak").set(
-                        float(result.workspace_bytes_peak)
-                    )
-            evaluator.results[scheme.identifier] = result
-            evaluator.total_cost += cost
-            evaluator.evaluation_count += 1
+            # Same bookkeeping as the serial path: drift, the workspace peak
+            # the worker measured, latency violations, results and costs.
+            evaluator._record(result)
             self.fresh_evaluations += 1
             if self.cache:
                 self.cache.put(result)

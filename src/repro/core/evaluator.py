@@ -556,18 +556,38 @@ class SchemeEvaluator:
         if tracer.enabled:
             with tracer.span("evaluate", scheme=scheme.identifier, steps=scheme.length) as span:
                 result = self._evaluate(scheme)
-                # one charged evaluation == one `evaluate` span carrying its
-                # exact cost float (the journal-sum == total_cost invariant)
-                span.add_cost(result.cost)
-                span.set(params=result.params, pr=result.pr, accuracy=result.accuracy)
-                self._record_prediction(result, span)
-                if result.workspace_bytes_peak:
-                    span.set(workspace_bytes_peak=result.workspace_bytes_peak)
-            tracer.metrics.counter("evaluations.fresh").inc()
+                self._annotate(result, span)
         else:
             result = self._evaluate(scheme)
-            if self.budget is not None:
-                self._record_prediction(result)
+        self._record(result)
+        return result
+
+    def _annotate(self, result: EvaluationResult, span) -> None:
+        """Attach a fresh result to its traced ``evaluate`` span.
+
+        One charged evaluation == one ``evaluate`` span carrying its exact
+        cost float (the journal-sum == total_cost invariant); the cost
+        model's prediction drift goes on the same span.
+        """
+        span.add_cost(result.cost)
+        span.set(params=result.params, pr=result.pr, accuracy=result.accuracy)
+        self._record_prediction(result, span)
+        if result.workspace_bytes_peak:
+            span.set(workspace_bytes_peak=result.workspace_bytes_peak)
+
+    def _record(self, result: EvaluationResult) -> None:
+        """Fold a fresh, charged result into results, costs and drift stats.
+
+        The serial path and the engine's parallel merge both end here, so
+        drift, workspace and measured-latency accounting agree between
+        them.  Traced runs recorded the prediction in :meth:`_annotate`;
+        untraced ones pay for the cost model only when a budget is set.
+        """
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.metrics.counter("evaluations.fresh").inc()
+        elif self.budget is not None:
+            self._record_prediction(result)
         if result.workspace_bytes_peak > self.workspace_bytes_peak:
             self.workspace_bytes_peak = result.workspace_bytes_peak
             if tracer.enabled:
@@ -587,15 +607,14 @@ class SchemeEvaluator:
             if tracer.enabled:
                 tracer.event(
                     "latency_violation",
-                    scheme=scheme.identifier,
+                    scheme=result.scheme.identifier,
                     latency_ms=round(result.latency_ms, 3),
                     max_latency_ms=budget.max_latency_ms,
                 )
                 tracer.metrics.counter("latency_violations").inc()
-        self.results[scheme.identifier] = result
+        self.results[result.scheme.identifier] = result
         self.total_cost += result.cost
         self.evaluation_count += 1
-        return result
 
     def pareto_results(self, gamma: Optional[float] = None) -> List[EvaluationResult]:
         """Non-dominated evaluated schemes (optionally filtered to PR >= gamma)."""

@@ -104,6 +104,43 @@ class TestSerialParallelEquivalence:
                 assert_results_identical(a, b)
             assert serial.total_cost == parallel.total_cost
 
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    def test_parallel_merge_keeps_drift_and_latency_books(self, schemes, traced):
+        """The parallel merge does the serial path's post-evaluation
+        bookkeeping: cost-model drift and measured-latency violations.
+
+        The 2 ms cap sits between the static latency proxy (at most 1.1 ms
+        here, so lint lets every scheme through) and the measured batch-2
+        latency (so every evaluation violates it)."""
+        from repro.analysis.costmodel import Budget
+        from repro.obs import Tracer, attach_tracer
+
+        def make(workers):
+            evaluator = SurrogateEvaluator(
+                lambda: resnet20(num_classes=10), "resnet20", "cifar10", TASK,
+                config=EvaluatorConfig(seed=0, latency_batch=2),
+            )
+            evaluator.set_budget(Budget(max_params=10**9, max_latency_ms=2.0))
+            engine = EvaluationEngine(evaluator, workers=workers)
+            if traced:
+                attach_tracer(engine, Tracer())
+            return engine
+
+        serial = make(0)
+        with make(2) as parallel:
+            for a, b in zip(serial.evaluate_many(schemes), parallel.evaluate_many(schemes)):
+                assert_results_identical(a, b)
+                assert min(a.latency_ms, b.latency_ms) > 2.0
+        unique = len({s.identifier for s in schemes})
+        assert serial.latency_violations == parallel.latency_violations == unique
+        assert serial.prediction_drift() == parallel.prediction_drift()
+        assert serial.prediction_drift()["predicted_evals"] == unique
+        if traced:
+            for engine in (serial, parallel):
+                spans = [s for s in engine.tracer.spans if s.name == "evaluate"]
+                assert sum(s.sim_cost for s in spans) == engine.total_cost
+                assert all("drift_params_pct" in s.attrs for s in spans)
+
     def test_engine_matches_bare_evaluator(self, schemes):
         bare = make_surrogate()
         bare_results = bare.evaluate_many(schemes)
