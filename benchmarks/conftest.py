@@ -3,7 +3,7 @@
 Budgets are controlled by environment variables so the same harness can run
 quick CI sweeps or full paper-shaped reproductions:
 
-    REPRO_BENCH_HOURS   simulated GPU-hours per search algorithm (default 8)
+    REPRO_BENCH_HOURS   simulated GPU-hours per search algorithm (default 30)
     REPRO_BENCH_GRID    grid-search evaluations per human method (default 36)
     REPRO_BENCH_SEED    seed (default 0)
 

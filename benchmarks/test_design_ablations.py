@@ -15,7 +15,8 @@ variants keep the ~40 block populated.
 
 import pytest
 
-from repro.core.progressive import ProgressiveConfig, ProgressiveSearch
+from repro.core.progressive import ProgressiveConfig
+from repro.core.solver import make_solver
 from repro.experiments.common import EXPERIMENTS, make_evaluator, pick_block
 from repro.knowledge.embedding import EmbeddingConfig, learn_embeddings
 from repro.knowledge.experience import default_experience
@@ -51,10 +52,11 @@ def design_runs(config):
             feasible_bias=overrides.get("feasible_bias", True),
         )
         experience = overrides.get("experience", default_experience())
-        searcher = ProgressiveSearch(
+        searcher = make_solver(
+            "progressive",
             make_evaluator(model_name, dataset_name, task, seed=config.seed),
             space,
-            embeddings,
+            embeddings=embeddings,
             gamma=0.3,
             budget_hours=_BUDGET,
             config=progressive,

@@ -12,7 +12,7 @@ Run:  python examples/real_training_comparison.py        (~5-10 minutes)
 
 from repro.core.config import EvaluatorConfig
 from repro.core.evaluator import TrainingEvaluator
-from repro.core.progressive import ProgressiveConfig, ProgressiveSearch
+from repro.core.progressive import ProgressiveConfig
 from repro.core.solver import make_solver
 from repro.data import tiny_dataset
 from repro.knowledge.embedding import EmbeddingConfig, learn_embeddings
@@ -48,9 +48,10 @@ def main() -> None:
         sample_size=3, evals_per_round=3, candidate_subsample=len(space)
     )
     searchers = {
-        "AutoMC": lambda ev: ProgressiveSearch(
-            ev, space, embeddings, gamma=GAMMA, budget_hours=BUDGET,
-            config=progressive_config, experience=default_experience(), seed=0,
+        "AutoMC": lambda ev: make_solver(
+            "progressive", ev, space, embeddings=embeddings, gamma=GAMMA,
+            budget_hours=BUDGET, config=progressive_config,
+            experience=default_experience(), seed=0,
         ),
         "Evolution": lambda ev: make_solver(
             "evolution", ev, space, gamma=GAMMA, budget_hours=BUDGET,

@@ -11,7 +11,8 @@ Subpackages
 ``repro.knowledge``    knowledge graph, TransR, experience, NN_exp
 ``repro.sim``          calibrated paper-scale accuracy surrogate
 ``repro.core``         evaluators, F_mo, progressive search, AutoMC facade
-``repro.baselines``    Random / Evolution / RL searches, human-method grids
+``repro.baselines``    the seven baseline solvers (Random, Evolution, RL, Grid,
+                       SA, RegEvo, AMC) and the human-method grids
 ``repro.experiments``  Table 2/3 and Figure 4/5/6 reproduction harnesses
 """
 

@@ -27,7 +27,7 @@ from .pareto import (
     pareto_mask,
     select_diverse,
 )
-from .progressive import ProgressiveConfig, ProgressiveSearch, ProgressiveSolver
+from .progressive import ProgressiveConfig, ProgressiveSolver
 from .search import SearchResult, SearchStrategy, TrajectoryPoint
 from .solver import (
     SOLVER_REGISTRY,
@@ -51,7 +51,6 @@ __all__ = [
     "ModelSnapshot",
     "ModelSnapshotStore",
     "ProgressiveConfig",
-    "ProgressiveSearch",
     "ProgressiveSolver",
     "ResultCache",
     "SchemeEvaluator",

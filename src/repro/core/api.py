@@ -35,7 +35,7 @@ from .engine import EvaluationEngine
 from .evaluator import SurrogateEvaluator, TrainingEvaluator
 from .interface import Evaluator
 from .progressive import ProgressiveConfig
-from .search import SearchResult
+from .search import SearchResult, SearchStrategy
 from .solver import make_solver
 
 _PAPER_TASKS = {
@@ -64,6 +64,12 @@ class AutoMC:
     :func:`repro.core.solver.list_solvers` for the zoo) and
     ``solver_kwargs`` passes per-solver options, e.g.
     ``AutoMC(evaluator, solver="sa", solver_kwargs={"chains": 8})``.
+
+    ``AutoMC`` is the one place an evaluator, a space and a solver name
+    become a running search: the experiment harnesses
+    (:func:`repro.experiments.common.run_algorithm`) and the serve
+    scheduler both go through it.  Behind an engine, :meth:`search` fills
+    ``result.engine_stats`` with the engine's counters.
 
     ``trace`` turns on the :mod:`repro.obs` observability layer: pass
     ``True`` for an in-memory :class:`~repro.obs.Tracer` (inspect
@@ -197,33 +203,52 @@ class AutoMC:
             )
         return self._embeddings
 
-    def search(self) -> SearchResult:
+    def search(
+        self,
+        stop: Optional[Callable[[], bool]] = None,
+        on_round: Optional[Callable[[SearchStrategy], None]] = None,
+    ) -> SearchResult:
         """Run the selected solver and return the Pareto-optimal schemes.
 
         The default solver is the paper's progressive search (Algorithm 2);
         any registered solver name works — see
-        :func:`repro.core.solver.list_solvers`.
+        :func:`repro.core.solver.list_solvers`.  ``stop`` and ``on_round``
+        are forwarded to :meth:`repro.core.solver.Solver.run` (cooperative
+        cancellation and per-round progress; neither changes the result).
         """
-        kwargs = dict(self.solver_kwargs)
-        if self.solver == "progressive":
-            from ..knowledge.experience import default_experience
-
-            kwargs.setdefault("embeddings", self.embeddings)
-            kwargs.setdefault("config", self.progressive_config)
-            kwargs.setdefault("experience", default_experience())
-        searcher = make_solver(
-            self.solver,
-            self.evaluator,
-            self.space,
-            gamma=self.gamma,
-            budget_hours=self.budget_hours,
-            max_length=self.max_length,
-            seed=self.seed,
-            tracer=self.tracer if self.tracer.enabled else None,
-            **kwargs,
-        )
         try:
-            return searcher.run()
+            kwargs = dict(self.solver_kwargs)
+            if self.solver == "progressive":
+                from ..knowledge.experience import default_experience
+
+                kwargs.setdefault("embeddings", self.embeddings)
+                kwargs.setdefault("config", self.progressive_config)
+                kwargs.setdefault("experience", default_experience())
+            searcher = make_solver(
+                self.solver,
+                self.evaluator,
+                self.space,
+                gamma=self.gamma,
+                budget_hours=self.budget_hours,
+                max_length=self.max_length,
+                seed=self.seed,
+                tracer=self.tracer if self.tracer.enabled else None,
+                **kwargs,
+            )
+            result = searcher.run(stop=stop, on_round=on_round)
+            engine = self.evaluator
+            if isinstance(engine, EvaluationEngine):
+                result.engine_stats = {
+                    "workers": engine.workers,
+                    "cache_hits": engine.cache_hits,
+                    "cache_foreign_hits": engine.cache_foreign_hits,
+                    "fresh_evaluations": engine.fresh_evaluations,
+                    "steps_replayed": engine.steps_replayed,
+                    "snapshot_hits": engine.snapshot_hits,
+                    "snapshot_foreign_hits": engine.snapshot_foreign_hits,
+                    "snapshot_steps_saved": engine.snapshot_steps_saved,
+                }
+            return result
         finally:
             self.close()
 

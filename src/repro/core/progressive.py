@@ -15,10 +15,9 @@ the Pareto-optimal schemes whose parameter reduction meets the target γ.
 
 :class:`ProgressiveSolver` implements the algorithm on the shared
 :class:`~repro.core.solver.Solver` round loop (registered as
-``"progressive"``); :class:`ProgressiveSearch` is the original facade over
-the same solver, kept for callers that construct searches directly.  The
-per-round random draws happen in the exact same order as the pre-solver
-implementation, so seeded results are bit-identical.
+``"progressive"``); build it with ``make_solver("progressive", ...)`` or
+run it through :class:`~repro.core.api.AutoMC`, which also learns the
+embeddings and loads the experience base.
 """
 
 from __future__ import annotations
@@ -30,12 +29,10 @@ import numpy as np
 
 from ..knowledge.embedding import EmbeddingConfig, StrategyEmbeddings, learn_embeddings
 from ..space.scheme import CompressionScheme
-from ..space.strategy import StrategySpace
 from .evaluator import EvaluationResult
 from .fmo import Fmo
-from .interface import Evaluator
 from .pareto import pareto_indices, select_diverse
-from .search import SearchResult, SearchStrategy
+from .search import SearchStrategy
 from .solver import Solver, register_solver
 
 
@@ -280,41 +277,3 @@ class ProgressiveSolver(Solver):
         if observed:
             self.fmo.train(epochs=self.config.fmo_epochs)
         self._round_index += 1
-
-
-class ProgressiveSearch(SearchStrategy):
-    """Original construct-and-run facade over :class:`ProgressiveSolver`.
-
-    Kept as the primary paper-facing API; ``repro.core.solver`` is the
-    pluggable route (``get_solver("progressive")``).  Attribute access not
-    found on the strategy state falls through to the underlying solver, so
-    ``searcher.fmo`` / ``searcher._unexplored`` keep working.
-    """
-
-    name = "AutoMC"
-
-    def __init__(
-        self,
-        evaluator: Evaluator,
-        space: StrategySpace,
-        embeddings: StrategyEmbeddings,
-        gamma: float = 0.3,
-        budget_hours: float = 24.0,
-        max_length: int = 5,
-        config: Optional[ProgressiveConfig] = None,
-        experience=None,
-        seed: int = 0,
-    ):
-        super().__init__(evaluator, space, gamma, budget_hours, max_length, seed)
-        self._solver = ProgressiveSolver(
-            self, embeddings=embeddings, config=config, experience=experience
-        )
-
-    def run(self) -> SearchResult:
-        return self._solver.run()
-
-    def __getattr__(self, item):
-        solver = self.__dict__.get("_solver")
-        if solver is None:
-            raise AttributeError(item)
-        return getattr(solver, item)

@@ -103,7 +103,8 @@ class SearchResult:
 
 
 class SearchStrategy:
-    """Base class: budgeted loop with trajectory recording."""
+    """The search state a :class:`~repro.core.solver.Solver` drives: budget,
+    static feasibility gate, trajectory recording and the final result."""
 
     name = "base"
 
@@ -273,9 +274,6 @@ class SearchStrategy:
                 else None
             ),
         )
-
-    def run(self) -> SearchResult:  # pragma: no cover - abstract
-        raise NotImplementedError
 
     # ------------------------------------------------------------------ #
     def random_scheme(self, max_pr: float = 0.9) -> CompressionScheme:

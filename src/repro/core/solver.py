@@ -157,10 +157,7 @@ class Solver:
     def __init__(self, strategy: SearchStrategy):
         self.strategy = strategy
         strategy.solver_name = self.solver_name
-        if type(strategy) is SearchStrategy:
-            # Strategy subclasses (the ProgressiveSearch facade) keep their
-            # own display name; a bare state machine adopts the solver's label.
-            strategy.name = self.label
+        strategy.name = self.label
         #: extra attributes for the current round's journal span
         self._round_attrs: Dict[str, object] = {}
 

@@ -12,15 +12,14 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.costmodel import Budget
+from ..core.api import AutoMC
 from ..core.config import EvaluatorConfig
-from ..core.engine import EvaluationEngine
 from ..core.evaluator import EvaluationResult, SurrogateEvaluator
 from ..core.progressive import ProgressiveConfig
 from ..core.search import SearchResult
-from ..core.solver import get_solver, make_solver
-from ..obs import RunJournal, Tracer, attach_tracer
+from ..obs import RunJournal, Tracer
 from ..data.tasks import EXP1, EXP2, CompressionTask, transfer_task
-from ..knowledge.embedding import EmbeddingConfig, StrategyEmbeddings, learn_embeddings
+from ..knowledge.embedding import EmbeddingConfig
 from ..models import create_model
 from ..space.strategy import StrategySpace
 
@@ -43,11 +42,6 @@ class ExperimentConfig:
     snapshot_dir: Optional[str] = None  # shared prefix-model snapshot store
     snapshot_budget_mb: Optional[float] = None  # store size cap (default 256)
     journal: Optional[str] = None     # JSONL run-journal path (repro.obs)
-    # Solver selection (repro.core.solver): None keeps the algorithm name
-    # passed to run_algorithm; a registry name overrides it.  solver_kwargs
-    # are forwarded to the solver constructor verbatim.
-    solver: Optional[str] = None
-    solver_kwargs: Optional[Dict[str, object]] = None
     # Static budget constraints (repro.analysis.costmodel) — candidates the
     # abstract interpreter proves over budget are rejected before any
     # evaluation cost is charged.
@@ -124,40 +118,24 @@ def transfer_evaluator(exp_name: str, model_name: str, seed: int = 0) -> Surroga
     return make_evaluator(model_name, dataset_name, task, seed=seed)
 
 
-#: legacy algorithm labels accepted by run_algorithm (the label map of the
-#: table and figure harnesses)
-LEGACY_SOLVER_NAMES: Dict[str, str] = {
-    "AutoMC": "progressive",
-    "Random": "random",
-    "Evolution": "evolution",
-    "RL": "rl",
-    "Grid": "grid",
-}
-
-
 def run_algorithm(
     name: str,
     exp_name: str,
     config: ExperimentConfig,
-    embeddings: Optional[StrategyEmbeddings] = None,
     space: Optional[StrategySpace] = None,
 ) -> SearchResult:
-    """Run one AutoML algorithm on Exp1/Exp2 under the shared budget.
+    """Run one solver on Exp1/Exp2 under the shared budget, through :class:`AutoMC`.
 
     ``name`` is a solver registry name (``progressive``, ``random``,
-    ``evolution``, ``grid``, ``rl``, ``sa``, ``regevo``, ``amc``) or a
-    legacy algorithm label (``AutoMC``/``Random``/``Evolution``/``RL``);
-    ``config.solver`` overrides it when set.
+    ``evolution``, ``grid``, ``rl``, ``sa``, ``regevo``, ``amc``).
 
     With ``config.workers`` / ``config.cache_dir`` set, the evaluator is
-    wrapped in an :class:`EvaluationEngine` — candidate batches fan out
-    across worker processes and/or persist to the cross-run disk cache.
-    With ``config.journal`` set, the whole run streams spans/events to a
-    JSONL journal (summarise with ``repro trace summarize``, which groups
-    multiple journals by their solver name).
+    wrapped in an :class:`~repro.core.engine.EvaluationEngine` — candidate
+    batches fan out across worker processes and/or persist to the cross-run
+    disk cache.  With ``config.journal`` set, the whole run streams
+    spans/events to a JSONL journal (summarise with ``repro trace
+    summarize``, which groups multiple journals by their solver name).
     """
-    solver_name = config.solver or LEGACY_SOLVER_NAMES.get(name, name)
-    get_solver(solver_name)  # fail fast on unknown names, before any setup
     model_name, dataset_name, task = EXPERIMENTS[exp_name]
     evaluator = make_evaluator(
         model_name, dataset_name, task,
@@ -166,75 +144,43 @@ def run_algorithm(
     budget = config.budget()
     if budget is not None:
         evaluator.set_budget(budget)
-    if config.snapshot_dir is not None:
-        evaluator.set_snapshot_dir(
-            config.snapshot_dir, budget_mb=config.snapshot_budget_mb
-        )
-    if config.workers > 0 or config.cache_dir is not None:
-        evaluator = EvaluationEngine(
-            evaluator, workers=config.workers, cache_dir=config.cache_dir
-        )
     tracer = None
     if config.journal is not None:
         tracer = Tracer(
             journal=RunJournal(
                 config.journal,
-                run={
-                    "algorithm": name,
-                    "solver": solver_name,
-                    "experiment": exp_name,
-                    "seed": config.seed,
-                },
+                run={"solver": name, "experiment": exp_name, "seed": config.seed},
             )
         )
-        attach_tracer(evaluator, tracer)
-    space = space or StrategySpace()
-    solver_kwargs: Dict[str, object] = dict(config.solver_kwargs or {})
-    if solver_name == "progressive":
-        from ..knowledge.experience import default_experience
-
-        if embeddings is None:
-            embeddings = learn_embeddings(space, config=config.embedding_config())
-        solver_kwargs.setdefault("embeddings", embeddings)
-        solver_kwargs.setdefault("config", config.progressive_config())
-        solver_kwargs.setdefault("experience", default_experience())
-    solver = make_solver(
-        solver_name, evaluator, space,
-        gamma=0.3, budget_hours=config.budget_hours, max_length=5,
-        seed=config.seed, **solver_kwargs,
-    )
-    try:
-        result = solver.run()
-        if isinstance(evaluator, EvaluationEngine):
-            result.engine_stats = {
-                "workers": evaluator.workers,
-                "cache_hits": evaluator.cache_hits,
-                "cache_foreign_hits": evaluator.cache_foreign_hits,
-                "fresh_evaluations": evaluator.fresh_evaluations,
-                "steps_replayed": evaluator.steps_replayed,
-                "snapshot_hits": evaluator.snapshot_hits,
-                "snapshot_steps_saved": evaluator.snapshot_steps_saved,
-            }
-        if config.latency_batch is not None:
-            stats = result.engine_stats or {}
-            stats["latency_violations"] = evaluator.latency_violations
-            result.engine_stats = stats
-        if budget is not None:
-            stats = result.engine_stats or {}
-            # Static-analysis accounting: candidates pruned at generation
-            # time, schemes the engine filtered or S-rejected, plus the
-            # cost model's drift against measured (params, flops).
-            stats["budget_pruned"] = solver.strategy.budget_pruned
-            stats["budget_filtered"] = evaluator.budget_filtered
-            stats["budget_rejects"] = evaluator.budget_rejects
-            stats.update(evaluator.prediction_drift())
-            result.engine_stats = stats
-        return result
-    finally:
-        if isinstance(evaluator, EvaluationEngine):
-            evaluator.close()
-        if tracer is not None:
-            tracer.close()
+    result = AutoMC(
+        evaluator,
+        space=space,
+        gamma=0.3,
+        budget_hours=config.budget_hours,
+        max_length=5,
+        embedding_config=config.embedding_config(),
+        progressive_config=config.progressive_config(),
+        solver=name,
+        seed=config.seed,
+        parallelism=config.workers,
+        cache_dir=config.cache_dir,
+        snapshot_dir=config.snapshot_dir,
+        snapshot_budget_mb=config.snapshot_budget_mb,
+        trace=tracer,
+    ).search()
+    stats = result.engine_stats or {}
+    if config.latency_batch is not None:
+        stats["latency_violations"] = evaluator.latency_violations
+    if budget is not None:
+        # Static-analysis accounting: candidates pruned at generation
+        # time, schemes the engine filtered or S-rejected, plus the
+        # cost model's drift against measured (params, flops).
+        stats["budget_pruned"] = result.solver_stats["budget_pruned"]
+        stats["budget_filtered"] = evaluator.budget_filtered
+        stats["budget_rejects"] = evaluator.budget_rejects
+        stats.update(evaluator.prediction_drift())
+    result.engine_stats = stats or None
+    return result
 
 
 def pick_block(

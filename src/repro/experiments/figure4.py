@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 from ..core.search import SearchResult
 from .common import EXPERIMENTS, ExperimentConfig, run_algorithm
 from .plotting import ascii_scatter
-from .table2 import AUTOML_ALGORITHMS
+from .table2 import AUTOML_ALGORITHMS, AUTOML_SOLVERS
 
 
 @dataclass
@@ -76,11 +76,11 @@ def run_figure4(config: Optional[ExperimentConfig] = None,
     figure = Figure4Result()
     for exp_name in EXPERIMENTS:
         figure.searches[exp_name] = {}
-        for algorithm in AUTOML_ALGORITHMS:
+        for solver, algorithm in zip(AUTOML_SOLVERS, AUTOML_ALGORITHMS):
             if searches is not None and algorithm in searches.get(exp_name, {}):
                 search = searches[exp_name][algorithm]
             else:
-                search = run_algorithm(algorithm, exp_name, config)
+                search = run_algorithm(solver, exp_name, config)
             figure.searches[exp_name][algorithm] = search
             figure.series.append(
                 Figure4Series(

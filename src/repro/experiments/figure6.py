@@ -56,7 +56,7 @@ def run_figure6(
         if searches is not None and exp_name in searches:
             search = searches[exp_name]
         else:
-            search = run_algorithm("AutoMC", exp_name, config)
+            search = run_algorithm("progressive", exp_name, config)
         figure.searches[exp_name] = search
         best = search.best
         if best is not None:

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional
 from ..baselines.grid import run_all_human_methods
 from ..core.evaluator import EvaluationResult
 from ..core.search import SearchResult
+from ..core.solver import get_solver
 from .common import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -28,7 +29,10 @@ from .common import (
 
 HUMAN_METHODS = ("C1", "C2", "C3", "C4", "C5", "C6")
 HUMAN_NAMES = {"C1": "LMA", "C2": "LeGR", "C3": "NS", "C4": "SFP", "C5": "HOS", "C6": "LFB"}
-AUTOML_ALGORITHMS = ("Evolution", "AutoMC", "RL", "Random")
+#: the four AutoML solvers, by registry name
+AUTOML_SOLVERS = ("evolution", "progressive", "rl", "random")
+#: their row labels: the registered ``SearchResult.algorithm`` names
+AUTOML_ALGORITHMS = tuple(get_solver(name).label for name in AUTOML_SOLVERS)
 BLOCKS = {"~40": (0.30, 0.55, 0.4), "~70": (0.55, 0.90, 0.7)}
 
 
@@ -106,15 +110,15 @@ def run_table2(config: Optional[ExperimentConfig] = None) -> Table2Result:
         # AutoML algorithms, one budgeted run each; both blocks read from
         # the same run's Pareto front.
         table.search_results[exp_name] = {}
-        for algorithm in AUTOML_ALGORITHMS:
-            search = run_algorithm(algorithm, exp_name, config)
-            table.search_results[exp_name][algorithm] = search
+        for solver in AUTOML_SOLVERS:
+            search = run_algorithm(solver, exp_name, config)
+            table.search_results[exp_name][search.algorithm] = search
             for block, (low, high, _) in BLOCKS.items():
                 table.rows.append(
                     Table2Row(
                         block=block,
                         experiment=exp_name,
-                        algorithm=algorithm,
+                        algorithm=search.algorithm,
                         result=pick_block(search.all_results, low, high),
                     )
                 )

@@ -22,7 +22,13 @@ from .common import (
     run_algorithm,
     transfer_evaluator,
 )
-from .table2 import AUTOML_ALGORITHMS, HUMAN_METHODS, HUMAN_NAMES, Table2Result
+from .table2 import (
+    AUTOML_ALGORITHMS,
+    AUTOML_SOLVERS,
+    HUMAN_METHODS,
+    HUMAN_NAMES,
+    Table2Result,
+)
 
 
 @dataclass
@@ -79,11 +85,11 @@ def run_table3(
     for exp_name in EXPERIMENTS:
         # Headline scheme per AutoML algorithm on the source model.
         schemes: Dict[str, Optional[CompressionScheme]] = {}
-        for algorithm in AUTOML_ALGORITHMS:
+        for solver, algorithm in zip(AUTOML_SOLVERS, AUTOML_ALGORITHMS):
             if table2 is not None and algorithm in table2.search_results.get(exp_name, {}):
                 search = table2.search_results[exp_name][algorithm]
             else:
-                search = run_algorithm(algorithm, exp_name, config)
+                search = run_algorithm(solver, exp_name, config)
             chosen = pick_block(search.all_results, 0.30, 0.55) or pick_block(
                 search.all_results, 0.30, 0.95
             )

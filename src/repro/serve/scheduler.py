@@ -5,8 +5,9 @@ This is the server half of the engine-lifecycle refactor: where a single
 cradle-to-grave, the :class:`JobScheduler` keeps one warm
 :class:`~repro.core.engine.LanePool` and one shared snapshot directory
 alive across jobs and gives every submitted job its *own* engine +
-evaluator + budget + tracer on a borrowed pool.  Isolation and sharing are
-split exactly along the determinism boundary:
+evaluator + budget + tracer on a borrowed pool.  The job's search itself
+is assembled by :class:`~repro.core.api.AutoMC`, exactly as a solo run is.
+Isolation and sharing are split exactly along the determinism boundary:
 
 * **isolated per job** — evaluator (results map, charged costs, RNG
   streams), ``Budget``, solver state, run journal.  A job's results and
@@ -32,11 +33,11 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from ..core.api import AutoMC
 from ..core.engine import EvaluationEngine, LanePool, WorkerError
 from ..core.progressive import ProgressiveConfig
 from ..core.search import SearchResult
-from ..core.solver import make_solver
-from ..obs import RunJournal, Tracer, attach_tracer
+from ..obs import RunJournal, Tracer
 from .jobs import JobRecord, JobSpec, JobTable
 
 #: subdirectories of the scheduler state dir
@@ -168,6 +169,10 @@ class JobScheduler:
 
     def _run(self, record: JobRecord) -> None:
         spec = record.spec
+        solver_kwargs = dict(spec.solver_kwargs)
+        if isinstance(solver_kwargs.get("config"), dict):
+            # the wire format of a ProgressiveConfig
+            solver_kwargs["config"] = ProgressiveConfig(**solver_kwargs["config"])
         config = spec.build_config()
         # every job shares the daemon's snapshot tree (the cross-job tier)
         config = replace(
@@ -175,9 +180,8 @@ class JobScheduler:
             snapshot_dir=str(self.snapshot_dir),
             snapshot_budget_mb=self.snapshot_budget_mb,
         )
-        evaluator = config.build()
         engine = EvaluationEngine(
-            evaluator, lane_pool=self.lane_pool, cache_dir=str(self.cache_dir)
+            config.build(), lane_pool=self.lane_pool, cache_dir=str(self.cache_dir)
         )
 
         tracer = None
@@ -196,66 +200,33 @@ class JobScheduler:
                     },
                 )
             )
-            attach_tracer(engine, tracer)
 
         self.table.transition(record.job_id, "running")
-        try:
-            solver = make_solver(
-                spec.solver,
-                engine,
-                spec.build_space(),
-                gamma=spec.gamma,
-                budget_hours=spec.budget_hours,
-                max_length=spec.max_length,
-                seed=spec.seed,
-                tracer=tracer,
-                **self._solver_kwargs(spec),
-            )
-            result = solver.run(
-                stop=lambda: record.cancel_requested,
-                on_round=lambda st: self.table.progress(
-                    record.job_id,
-                    rounds=st.rounds_completed,
-                    evaluations=st.evaluator.evaluation_count,
-                    total_cost=st.evaluator.total_cost,
-                    pareto=_front_payload(st.evaluator.pareto_results(spec.gamma)),
-                ),
-            )
-            state = "cancelled" if record.cancel_requested else "completed"
-            self.table.transition(
-                record.job_id, state, result=_result_payload(result, engine)
-            )
-        finally:
-            engine.close()
-            if tracer is not None:
-                tracer.close()
-
-    def _solver_kwargs(self, spec: JobSpec) -> dict:
-        """Per-solver options, mirroring ``AutoMC.search()``'s wiring.
-
-        The progressive solver needs embeddings and an experience base that
-        cannot cross the wire; they are built server-side exactly as
-        ``AutoMC`` builds them (same seed), so a served progressive job
-        matches the in-process run.  A ``config`` dict in ``solver_kwargs``
-        becomes a :class:`ProgressiveConfig`.
-        """
-        kwargs = dict(spec.solver_kwargs)
-        if spec.solver == "progressive":
-            from ..knowledge.embedding import EmbeddingConfig, learn_embeddings
-            from ..knowledge.experience import default_experience
-
-            progressive = kwargs.get("config")
-            if isinstance(progressive, dict):
-                kwargs["config"] = ProgressiveConfig(**progressive)
-            kwargs.setdefault(
-                "embeddings",
-                learn_embeddings(
-                    spec.build_space(), config=EmbeddingConfig(seed=spec.seed)
-                ),
-            )
-            kwargs.setdefault("config", None)
-            kwargs.setdefault("experience", default_experience())
-        return kwargs
+        # AutoMC assembles the search exactly as a solo run does (embeddings
+        # and experience for the progressive solver included) and closes the
+        # engine and the journal; the borrowed lane pool stays up.
+        result = AutoMC(
+            engine,
+            space=spec.build_space(),
+            gamma=spec.gamma,
+            budget_hours=spec.budget_hours,
+            max_length=spec.max_length,
+            solver=spec.solver,
+            solver_kwargs=solver_kwargs,
+            seed=spec.seed,
+            trace=tracer,
+        ).search(
+            stop=lambda: record.cancel_requested,
+            on_round=lambda st: self.table.progress(
+                record.job_id,
+                rounds=st.rounds_completed,
+                evaluations=st.evaluator.evaluation_count,
+                total_cost=st.evaluator.total_cost,
+                pareto=_front_payload(st.evaluator.pareto_results(spec.gamma)),
+            ),
+        )
+        state = "cancelled" if record.cancel_requested else "completed"
+        self.table.transition(record.job_id, state, result=_result_payload(result))
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +248,8 @@ def _front_payload(results) -> List[Dict[str, object]]:
     ]
 
 
-def _result_payload(result: SearchResult, engine: EvaluationEngine) -> Dict[str, object]:
+def _result_payload(result: SearchResult) -> Dict[str, object]:
+    stats = result.engine_stats
     return {
         "algorithm": result.algorithm,
         "solver": result.solver,
@@ -297,10 +269,10 @@ def _result_payload(result: SearchResult, engine: EvaluationEngine) -> Dict[str,
             for p in result.trajectory
         ],
         "solver_stats": result.solver_stats,
-        "snapshot_hits": engine.snapshot_hits,
-        "snapshot_foreign_hits": engine.snapshot_foreign_hits,
-        "steps_replayed": engine.steps_replayed,
-        "snapshot_steps_saved": engine.snapshot_steps_saved,
-        "cache_hits": engine.cache_hits,
-        "cache_foreign_hits": engine.cache_foreign_hits,
+        "snapshot_hits": stats["snapshot_hits"],
+        "snapshot_foreign_hits": stats["snapshot_foreign_hits"],
+        "steps_replayed": stats["steps_replayed"],
+        "snapshot_steps_saved": stats["snapshot_steps_saved"],
+        "cache_hits": stats["cache_hits"],
+        "cache_foreign_hits": stats["cache_foreign_hits"],
     }

@@ -5,7 +5,8 @@ import pytest
 
 from repro.core.config import EvaluatorConfig
 from repro.core.evaluator import SurrogateEvaluator
-from repro.core.progressive import ProgressiveConfig, ProgressiveSearch
+from repro.core.progressive import ProgressiveConfig
+from repro.core.solver import make_solver
 from repro.data.tasks import EXP1, transfer_task
 from repro.knowledge.embedding import StrategyEmbeddings
 from repro.knowledge.experience import default_experience
@@ -25,8 +26,9 @@ def searcher():
         lambda: resnet20(num_classes=10), "resnet20", "cifar10", task,
         config=EvaluatorConfig(seed=0),
     )
-    return ProgressiveSearch(
-        evaluator, space, embeddings, gamma=0.2, budget_hours=1.2,
+    return make_solver(
+        "progressive", evaluator, space, embeddings=embeddings,
+        gamma=0.2, budget_hours=1.2,
         config=ProgressiveConfig(sample_size=3, evals_per_round=3,
                                  candidate_subsample=40),
         seed=0,
@@ -49,7 +51,7 @@ class TestBookkeeping:
             assert searcher._unexplored[key].dtype == bool
 
     def test_max_length_schemes_not_tracked(self, searcher):
-        searcher.max_length = 1
+        searcher.strategy.max_length = 1
         searcher.run()
         for key in searcher._unexplored:
             assert key == "START"
@@ -93,8 +95,9 @@ class TestWarmStart:
             lambda: resnet20(num_classes=10), "resnet20", "cifar10", task,
             config=EvaluatorConfig(seed=0),
         )
-        searcher = ProgressiveSearch(
-            evaluator, space, embeddings, gamma=0.3, budget_hours=0.1,
+        searcher = make_solver(
+            "progressive", evaluator, space, embeddings=embeddings,
+            gamma=0.3, budget_hours=0.1,
             experience=default_experience(), seed=0,
         )
         assert len(searcher.fmo.buffer) >= 60
@@ -118,8 +121,9 @@ class TestConfigToggles:
             sample_size=2, evals_per_round=2, candidate_subsample=20,
             **{toggle: False},
         )
-        searcher = ProgressiveSearch(
-            evaluator, space, embeddings, gamma=0.2, budget_hours=0.6,
+        searcher = make_solver(
+            "progressive", evaluator, space, embeddings=embeddings,
+            gamma=0.2, budget_hours=0.6,
             config=config, seed=0,
         )
         result = searcher.run()

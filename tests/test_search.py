@@ -10,7 +10,7 @@ import pytest
 from repro.core import AutoMC, build_variant
 from repro.core.config import EvaluatorConfig
 from repro.core.evaluator import SurrogateEvaluator
-from repro.core.progressive import ProgressiveConfig, ProgressiveSearch
+from repro.core.progressive import ProgressiveConfig
 from repro.core.solver import make_solver
 from repro.data.tasks import EXP1, transfer_task
 from repro.knowledge.embedding import EmbeddingConfig, StrategyEmbeddings
@@ -43,8 +43,8 @@ def make_evaluator(seed=0):
 
 class TestProgressiveSearch:
     def test_run_produces_results_within_budget(self, small_space, embeddings):
-        searcher = ProgressiveSearch(
-            make_evaluator(), small_space, embeddings,
+        searcher = make_solver(
+            "progressive", make_evaluator(), small_space, embeddings=embeddings,
             gamma=0.2, budget_hours=BUDGET,
             config=ProgressiveConfig(sample_size=3, evals_per_round=3,
                                      candidate_subsample=64),
@@ -56,8 +56,8 @@ class TestProgressiveSearch:
         assert result.front
 
     def test_pareto_respects_gamma(self, small_space, embeddings):
-        searcher = ProgressiveSearch(
-            make_evaluator(), small_space, embeddings,
+        searcher = make_solver(
+            "progressive", make_evaluator(), small_space, embeddings=embeddings,
             gamma=0.2, budget_hours=BUDGET,
             config=ProgressiveConfig(sample_size=3, evals_per_round=3,
                                      candidate_subsample=64),
@@ -67,8 +67,8 @@ class TestProgressiveSearch:
             assert r.pr >= 0.2
 
     def test_trajectory_costs_monotone(self, small_space, embeddings):
-        searcher = ProgressiveSearch(
-            make_evaluator(), small_space, embeddings,
+        searcher = make_solver(
+            "progressive", make_evaluator(), small_space, embeddings=embeddings,
             gamma=0.2, budget_hours=BUDGET,
             config=ProgressiveConfig(sample_size=2, evals_per_round=2,
                                      candidate_subsample=64),
@@ -78,8 +78,8 @@ class TestProgressiveSearch:
         assert costs == sorted(costs)
 
     def test_fmo_gets_trained(self, small_space, embeddings):
-        searcher = ProgressiveSearch(
-            make_evaluator(), small_space, embeddings,
+        searcher = make_solver(
+            "progressive", make_evaluator(), small_space, embeddings=embeddings,
             gamma=0.2, budget_hours=BUDGET,
             config=ProgressiveConfig(sample_size=2, evals_per_round=2,
                                      candidate_subsample=64),
@@ -89,8 +89,8 @@ class TestProgressiveSearch:
         assert searcher.fmo.loss_history
 
     def test_schemes_grow_progressively(self, small_space, embeddings):
-        searcher = ProgressiveSearch(
-            make_evaluator(), small_space, embeddings,
+        searcher = make_solver(
+            "progressive", make_evaluator(), small_space, embeddings=embeddings,
             gamma=0.2, budget_hours=2.5,
             config=ProgressiveConfig(sample_size=3, evals_per_round=3,
                                      candidate_subsample=64),

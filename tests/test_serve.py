@@ -75,8 +75,10 @@ SERVE_SOLVER_KWARGS = {
     "regevo": {"population_size": 4, "tournament_size": 2, "children_per_round": 3},
 }
 
-#: the bit-identity matrix: three solvers with distinct proposal dynamics
-BIT_IDENTICAL_SOLVERS = ["random", "sa", "regevo"]
+#: the bit-identity matrix: four solvers with distinct proposal dynamics.
+#: progressive runs with AutoMC's default embeddings and experience and no
+#: ``config`` dict (the oracle would pass such a dict through unconverted)
+BIT_IDENTICAL_SOLVERS = ["random", "sa", "regevo", "progressive"]
 
 
 def evaluator_payload(seed=3):

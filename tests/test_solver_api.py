@@ -253,6 +253,23 @@ class TestCLISurface:
             args = parser.parse_args(["search", "exp1", "--solver", name])
             assert args.solver == name
 
+    @pytest.mark.parametrize("command", [["search"], ["job", "submit"]], ids=" ".join)
+    def test_solver_choices_equal_the_registry(self, command):
+        """The hard-coded ``--solver`` choices list no more and no fewer
+        solvers than the registry holds."""
+        import argparse
+
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        for name in command:
+            subparsers = next(
+                a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+            )
+            parser = subparsers.choices[name]
+        solver = next(a for a in parser._actions if "--solver" in a.option_strings)
+        assert sorted(solver.choices) == list_solvers()
+
     def test_trace_summarize_accepts_multiple_journals(self):
         from repro.cli import build_parser
 
