@@ -65,11 +65,13 @@ class AutoMC:
     ``solver_kwargs`` passes per-solver options, e.g.
     ``AutoMC(evaluator, solver="sa", solver_kwargs={"chains": 8})``.
 
-    ``AutoMC`` is the one place an evaluator, a space and a solver name
-    become a running search: the experiment harnesses
+    ``AutoMC`` is where an evaluator, a space and a solver name become a
+    running search: the experiment harnesses
     (:func:`repro.experiments.common.run_algorithm`) and the serve
-    scheduler both go through it.  Behind an engine, :meth:`search` fills
-    ``result.engine_stats`` with the engine's counters.
+    scheduler both go through it.  The §4.5 ablation variants are the
+    exception: :func:`repro.core.ablation.build_variant` still learns their
+    embeddings and builds their solvers itself.  Behind an engine,
+    :meth:`search` fills ``result.engine_stats`` with the engine's counters.
 
     ``trace`` turns on the :mod:`repro.obs` observability layer: pass
     ``True`` for an in-memory :class:`~repro.obs.Tracer` (inspect

@@ -169,6 +169,9 @@ class JobScheduler:
 
     def _run(self, record: JobRecord) -> None:
         spec = record.spec
+        # everything that can reject the spec runs before the engine and
+        # the job journal exist, so a bad job leaves nothing open
+        space = spec.build_space()
         solver_kwargs = dict(spec.solver_kwargs)
         if isinstance(solver_kwargs.get("config"), dict):
             # the wire format of a ProgressiveConfig
@@ -207,7 +210,7 @@ class JobScheduler:
         # engine and the journal; the borrowed lane pool stays up.
         result = AutoMC(
             engine,
-            space=spec.build_space(),
+            space=space,
             gamma=spec.gamma,
             budget_hours=spec.budget_hours,
             max_length=spec.max_length,

@@ -60,6 +60,7 @@ from repro.serve.protocol import (
     send_message,
     write_endpoint,
 )
+from repro.serve.scheduler import JOURNAL_SUBDIR
 from repro.space import CompressionScheme, StrategySpace
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
@@ -358,6 +359,28 @@ class TestLanePoolFaults:
             healthy = scheduler.submit(make_spec(tenant="healthy", seed=11))
             record = scheduler.wait(healthy.job_id, timeout=120.0)
             assert record.state == "completed"
+        finally:
+            scheduler.close()
+
+    def test_unknown_method_label_fails_job_before_its_journal_opens(
+        self, tmp_path
+    ):
+        """A bad --methods label fails the job and leaves no journal open."""
+        scheduler = JobScheduler(tmp_path, workers=1, recover=False)
+        try:
+            bad = scheduler.submit(
+                make_spec(tenant="typo", method_labels=["C3", "C99"])
+            )
+            record = scheduler.wait(bad.job_id, timeout=60.0)
+            assert record.state == "failed"
+            assert record.error["type"] == "KeyError"
+            assert "C99" in record.error["message"]
+            journal = tmp_path / JOURNAL_SUBDIR / f"{bad.job_id}.jsonl"
+            assert not journal.exists()
+            good = scheduler.submit(make_spec(tenant="fixed"))
+            record = scheduler.wait(good.job_id, timeout=120.0)
+            assert record.state == "completed"
+            assert (tmp_path / JOURNAL_SUBDIR / f"{good.job_id}.jsonl").exists()
         finally:
             scheduler.close()
 
