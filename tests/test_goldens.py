@@ -370,3 +370,55 @@ def test_run_algorithm_matches_goldens(tmp_path, update_goldens):
     for solver in golden:
         assert golden[solver]["front"], f"{solver}: empty golden front"
     _assert_same(measured, golden)
+
+
+# --------------------------------------------------------------------------- #
+# Embedding golden: Algorithm 1's learned table and loss histories, exact
+# --------------------------------------------------------------------------- #
+EMBEDDINGS_GOLDEN_PATH = Path(__file__).parent / "goldens" / "embeddings.json"
+
+
+def _embedding_cases() -> dict:
+    from repro.experiments.common import ExperimentConfig
+    from repro.knowledge.embedding import EmbeddingConfig
+
+    return {
+        "experiment_seed3100": (StrategySpace(), ExperimentConfig(seed=3100).embedding_config()),
+        "default": (StrategySpace(), EmbeddingConfig()),
+        "no_kg": (StrategySpace(), EmbeddingConfig(use_kg=False)),
+        "no_experience": (StrategySpace(), EmbeddingConfig(use_experience=False)),
+        "c2_only": (StrategySpace(method_labels=["C2"]), EmbeddingConfig()),
+    }
+
+
+def _embedding_outcome(space: StrategySpace, config) -> dict:
+    import hashlib
+
+    from repro.knowledge.embedding import learn_embeddings
+
+    learned = learn_embeddings(space, config=config)
+    return {
+        "table_sha256": hashlib.sha256(learned.table.tobytes()).hexdigest(),
+        "shape": list(learned.table.shape),
+        "transr_losses": learned.transr_losses,
+        "nn_exp_losses": learned.nn_exp_losses,
+    }
+
+
+def test_embeddings_match_goldens(update_goldens):
+    """Algorithm 1 (TransR alternating with NN_exp) on five configurations:
+    the sha256 of the learned table's bytes and both loss histories as exact
+    floats.  Any change to the arithmetic of TransR, record matching or
+    NN_exp training, however small, changes a hash or a loss here."""
+    measured = {
+        name: _embedding_outcome(space, config)
+        for name, (space, config) in _embedding_cases().items()
+    }
+    if update_goldens:
+        EMBEDDINGS_GOLDEN_PATH.write_text(json.dumps(measured, indent=2, sort_keys=True) + "\n")
+        pytest.skip("embedding goldens regenerated; review the diff")
+
+    golden = json.loads(EMBEDDINGS_GOLDEN_PATH.read_text())
+    assert set(measured) == set(golden)
+    for name, expected in golden.items():
+        assert measured[name] == expected, name
