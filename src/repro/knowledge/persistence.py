@@ -56,8 +56,10 @@ def record_from_dict(payload: Dict) -> ExperienceRecord:
         raise ValueError(f"experience task missing {missing}")
     pr = float(payload["pr"])
     ar = float(payload["ar"])
-    if not 0.0 < pr < 1.0:
-        raise ValueError(f"pr must be in (0, 1), got {pr}")
+    # pr = 0 is a real result: post-training quantization removes no
+    # parameters (the shipped C8 records)
+    if not 0.0 <= pr < 1.0:
+        raise ValueError(f"pr must be in [0, 1), got {pr}")
     if ar <= -1.0:
         raise ValueError(f"ar must be > -1, got {ar}")
     task = CompressionTask(**{k: task_payload[k] for k in _REQUIRED_TASK_KEYS})
