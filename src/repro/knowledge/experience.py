@@ -176,25 +176,21 @@ def nearest_strategy(space: StrategySpace, record: ExperienceRecord) -> Optional
     """The strategy in ``space`` closest to a record's reported setting.
 
     Matching is by method, then by minimal normalised distance over the
-    hyperparameters the record specifies (categoricals count 0/1).
+    hyperparameters the record specifies (categoricals count 0/1); ties go
+    to the strategy that comes first in the space.
     """
-    candidates = space.of_method(record.method_label)
-    if not candidates:
+    indices, columns = space.hp_columns(record.method_label)
+    if not len(indices):
         return None
-    recorded = dict(record.hp)
-
-    def distance(strategy: CompressionStrategy) -> float:
-        total = 0.0
-        hp = strategy.hp
-        for name, value in recorded.items():
-            if name not in hp:
-                continue
-            if isinstance(value, str):
-                total += 0.0 if hp[name] == value else 1.0
-            else:
-                grid = [v for v in HP_GRID[name] if not isinstance(v, str)]
-                span = (max(grid) - min(grid)) or 1.0
-                total += abs(float(hp[name]) - float(value)) / span
-        return total
-
-    return min(candidates, key=distance)
+    total = np.zeros(len(indices))
+    for name, value in dict(record.hp).items():
+        column = columns.get(name)
+        if column is None:
+            continue
+        if isinstance(value, str):
+            total += column != value
+        else:
+            grid = [v for v in HP_GRID[name] if not isinstance(v, str)]
+            span = (max(grid) - min(grid)) or 1.0
+            total += np.abs(column.astype(np.float64, copy=False) - float(value)) / span
+    return space[int(indices[np.argmin(total)])]

@@ -109,13 +109,14 @@ def build_knowledge_graph(space: StrategySpace) -> KnowledgeGraph:
     # One strategy node per point of the space.
     strategy_entities: Dict[str, int] = {}
     for strategy in space:
-        node = entity(strategy.identifier, "strategy")
-        strategy_entities[strategy.identifier] = node
+        identifier = strategy.identifier
+        node = entity(identifier, "strategy")
+        strategy_entities[identifier] = node
         add(node, "R1", entity_index[strategy.method_label],
-            strategy.identifier, strategy.method_label)
+            identifier, strategy.method_label)
         for hp, value in strategy.hp_items:
             setting = _setting_id(hp, value)
-            add(node, "R2", entity_index[setting], strategy.identifier, setting)
+            add(node, "R2", entity_index[setting], identifier, setting)
 
     return KnowledgeGraph(
         graph=graph,

@@ -14,6 +14,8 @@ from typing import List, Optional
 
 import numpy as np
 
+from .transr import ordered_row_sum
+
 
 @dataclass
 class TransEConfig:
@@ -73,19 +75,17 @@ class TransE:
         return self.loss_history[-1]
 
     def _step(self, heads, rels, tails, neg_heads, neg_tails) -> None:
+        """Averaged gradient step, accumulated in the same order as TransR's."""
         lr = self.config.learning_rate
-        ent_grad = np.zeros_like(self.entities)
-        ent_count = np.zeros(len(self.entities))
-        rel_grad = np.zeros_like(self.relations)
-        rel_count = np.zeros(len(self.relations))
-        for sign, h_idx, t_idx in ((1.0, heads, tails), (-1.0, neg_heads, neg_tails)):
-            u = 2.0 * (self.entities[h_idx] + self.relations[rels] - self.entities[t_idx])
-            np.add.at(ent_grad, h_idx, sign * u)
-            np.add.at(ent_grad, t_idx, -sign * u)
-            np.add.at(ent_count, h_idx, 1.0)
-            np.add.at(ent_count, t_idx, 1.0)
-            np.add.at(rel_grad, rels, sign * u)
-            np.add.at(rel_count, rels, 1.0)
+        n_entities, n_relations = len(self.entities), len(self.relations)
+        u_pos = 2.0 * (self.entities[heads] + self.relations[rels] - self.entities[tails])
+        u_neg = 2.0 * (self.entities[neg_heads] + self.relations[rels] - self.entities[neg_tails])
+        ent_idx = np.concatenate([heads, tails, neg_heads, neg_tails])
+        ent_grad = ordered_row_sum(ent_idx, np.concatenate([u_pos, -u_pos, -u_neg, u_neg]), n_entities)
+        ent_count = np.bincount(ent_idx, minlength=n_entities)
+        rel_idx = np.concatenate([rels, rels])
+        rel_grad = ordered_row_sum(rel_idx, np.concatenate([u_pos, -u_neg]), n_relations)
+        rel_count = np.bincount(rel_idx, minlength=n_relations)
         self.entities -= lr * ent_grad / np.maximum(ent_count, 1.0)[:, None]
         self.relations -= lr * rel_grad / np.maximum(rel_count, 1.0)[:, None]
 

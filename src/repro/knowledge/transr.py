@@ -25,6 +25,33 @@ class TransRConfig:
     seed: int = 0
 
 
+def ordered_row_sum(indices: np.ndarray, rows: np.ndarray, num_rows: int) -> np.ndarray:
+    """``out[indices[i]] += rows[i]`` into zeros, summing in the order given.
+
+    One ``np.bincount`` over flattened (row, column) positions: it adds each
+    bucket's terms in input order, so the result is bit-for-bit that of
+    ``np.add.at(np.zeros((num_rows, d)), indices, rows)``.
+    """
+    d = rows.shape[1]
+    flat = (indices[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=rows.ravel(), minlength=num_rows * d).reshape(num_rows, d)
+
+
+def _ordered_total(rows: np.ndarray) -> np.ndarray:
+    """``0.0 + rows[0] + rows[1] + ...``, added in row order.
+
+    ``np.add.reduce`` over the first axis adds whole rows in order while a
+    row holds two or more numbers; over one-number rows it switches to
+    pairwise summation, so those go through :func:`ordered_row_sum`.
+    """
+    flat = rows.reshape(len(rows), -1)
+    if flat.shape[1] > 1:
+        total = np.add.reduce(flat, axis=0, initial=0.0)
+    else:
+        total = ordered_row_sum(np.zeros(len(flat), dtype=np.intp), flat, 1)
+    return total.reshape(rows.shape[1:])
+
+
 class TransR:
     """Margin-ranking TransR trainer over integer triplet arrays."""
 
@@ -48,12 +75,15 @@ class TransR:
         rnorms = np.linalg.norm(self.relations, axis=1, keepdims=True)
         np.divide(self.relations, np.maximum(rnorms, 1.0), out=self.relations)
 
-    def score(self, heads: np.ndarray, rels: np.ndarray, tails: np.ndarray) -> np.ndarray:
-        """||W_r e_h + e_r - W_r e_t||^2 for each triplet (lower = better)."""
-        w = self.projections[rels]  # (n, k, d)
+    def _residuals(self, w: np.ndarray, heads, rels, tails) -> np.ndarray:
+        """``W_r e_h + e_r - W_r e_t`` per triplet, given ``w = projections[rels]``."""
         h = np.einsum("nkd,nd->nk", w, self.entities[heads])
         t = np.einsum("nkd,nd->nk", w, self.entities[tails])
-        diff = h + self.relations[rels] - t
+        return h + self.relations[rels] - t
+
+    def score(self, heads: np.ndarray, rels: np.ndarray, tails: np.ndarray) -> np.ndarray:
+        """||W_r e_h + e_r - W_r e_t||^2 for each triplet (lower = better)."""
+        diff = self._residuals(self.projections[rels], heads, rels, tails)
         return (diff ** 2).sum(axis=1)
 
     # ------------------------------------------------------------------ #
@@ -73,52 +103,66 @@ class TransR:
             neg_heads = np.where(corrupt_head, random_entities, heads)
             neg_tails = np.where(corrupt_head, tails, random_entities)
 
-            pos = self.score(heads, rels, tails)
-            neg = self.score(neg_heads, rels, neg_tails)
-            violation = cfg.margin + pos - neg
+            w = self.projections[rels]  # (n, k, d)
+            u_pos = self._residuals(w, heads, rels, tails)
+            u_neg = self._residuals(w, neg_heads, rels, neg_tails)
+            violation = cfg.margin + (u_pos ** 2).sum(axis=1) - (u_neg ** 2).sum(axis=1)
             active = violation > 0
             total_loss += float(violation[active].sum())
             if not active.any():
                 continue
             self._sgd_step(
-                heads[active], rels[active], tails[active],
-                neg_heads[active], neg_tails[active],
+                w[active], rels[active],
+                (heads[active], tails[active], u_pos[active]),
+                (neg_heads[active], neg_tails[active], u_neg[active]),
             )
         self._normalize()
         self.loss_history.append(total_loss / max(len(triplets), 1))
         return self.loss_history[-1]
 
-    def _sgd_step(self, heads, rels, tails, neg_heads, neg_tails) -> None:
+    def _sgd_step(self, w, rels, positive, negative) -> None:
         """Apply gradients of (pos_score - neg_score) for violating triplets.
 
-        Many triplets in a batch touch the *same* relation (there are only
-        five), so raw accumulation explodes; gradients are averaged per
-        parameter (entity / relation / projection) before the update.
+        ``positive`` and ``negative`` are ``(heads, tails, u)`` with ``u`` the
+        residuals :meth:`_residuals` computed for the batch's scores.  Many
+        triplets in a batch touch the *same* relation (there are only five),
+        so raw accumulation explodes; gradients are averaged per parameter
+        (entity / relation / projection) before the update.
+
+        Each table is accumulated in one ordered pass — entity rows over
+        positive heads, positive tails, negative heads, negative tails, and
+        each relation's rows over its positive then negative triplets — so
+        every sum adds its terms in the order an ``np.add.at`` per term
+        would, and the result is bit-for-bit the same.
         """
         lr = self.config.learning_rate
-        ent_grad = np.zeros_like(self.entities)
-        ent_count = np.zeros(len(self.entities))
-        rel_grad = np.zeros_like(self.relations)
-        rel_count = np.zeros(len(self.relations))
-        proj_grad = np.zeros_like(self.projections)
+        n_entities, n_relations = len(self.entities), len(self.relations)
+        (heads, tails, u_pos), (neg_heads, neg_tails, u_neg) = positive, negative
+        grad_pos = 2.0 * np.einsum("nkd,nk->nd", w, u_pos)
+        grad_neg = 2.0 * np.einsum("nkd,nk->nd", w, u_neg)
+        ent_idx = np.concatenate([heads, tails, neg_heads, neg_tails])
+        ent_grad = ordered_row_sum(
+            ent_idx, np.concatenate([grad_pos, -grad_pos, -grad_neg, grad_neg]), n_entities
+        )
+        ent_count = np.bincount(ent_idx, minlength=n_entities).astype(np.float64)
+        rel_idx = np.concatenate([rels, rels])
+        rel_grad = ordered_row_sum(
+            rel_idx, np.concatenate([2.0 * u_pos, -(2.0 * u_neg)]), n_relations
+        )
+        rel_count = np.bincount(rel_idx, minlength=n_relations).astype(np.float64)
 
-        for sign, h_idx, t_idx in ((1.0, heads, tails), (-1.0, neg_heads, neg_tails)):
-            w = self.projections[rels]  # (n, k, d)
-            eh = self.entities[h_idx]
-            et = self.entities[t_idx]
-            u = np.einsum("nkd,nd->nk", w, eh) + self.relations[rels] - np.einsum(
-                "nkd,nd->nk", w, et
-            )  # (n, k)
-            grad_h = 2.0 * np.einsum("nkd,nk->nd", w, u)
-            grad_r = 2.0 * u
-            grad_w = 2.0 * np.einsum("nk,nd->nkd", u, eh - et)
-            np.add.at(ent_grad, h_idx, sign * grad_h)
-            np.add.at(ent_grad, t_idx, -sign * grad_h)
-            np.add.at(ent_count, h_idx, 1.0)
-            np.add.at(ent_count, t_idx, 1.0)
-            np.add.at(rel_grad, rels, sign * grad_r)
-            np.add.at(rel_count, rels, 1.0)
-            np.add.at(proj_grad, rels, sign * grad_w)
+        diff_pos = self.entities[heads] - self.entities[tails]
+        diff_neg = self.entities[neg_heads] - self.entities[neg_tails]
+        proj_grad = np.zeros_like(self.projections)
+        for r in np.unique(rels):
+            rows = np.flatnonzero(rels == r)
+            outer = 2.0 * np.einsum(
+                "nk,nd->nkd",
+                np.concatenate([u_pos[rows], u_neg[rows]]),
+                np.concatenate([diff_pos[rows], diff_neg[rows]]),
+            )
+            outer[len(rows):] *= -1.0
+            proj_grad[r] = _ordered_total(outer)
 
         ent_scale = np.maximum(ent_count, 1.0)[:, None]
         rel_scale = np.maximum(rel_count, 1.0)

@@ -99,6 +99,7 @@ class StrategySpace:
         #: read-only float64 array of every strategy's ``param_step`` (HP2)
         self.param_steps = np.array([s.param_step for s in self._strategies], dtype=np.float64)
         self.param_steps.setflags(write=False)
+        self._hp_columns: Dict[str, Tuple[np.ndarray, Dict[str, np.ndarray]]] = {}
 
     def __len__(self) -> int:
         return len(self._strategies)
@@ -114,6 +115,25 @@ class StrategySpace:
 
     def of_method(self, label: str) -> List[CompressionStrategy]:
         return [s for s in self._strategies if s.method_label == label]
+
+    def hp_columns(self, label: str) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
+        """``label``'s strategy indices and one read-only column per HP.
+
+        Numeric hyperparameters are float64 columns, categorical ones string
+        columns, each aligned with the indices (which follow ``of_method``).
+        Built on first use and kept on the space.
+        """
+        if label not in self._hp_columns:
+            members = self.of_method(label)
+            indices = np.array([s.index for s in members], dtype=np.int64)
+            columns: Dict[str, np.ndarray] = {}
+            for position, (name, value) in enumerate(members[0].hp_items if members else ()):
+                raw = [s.hp_items[position][1] for s in members]
+                columns[name] = np.array(raw) if isinstance(value, str) else np.array(raw, dtype=np.float64)
+            for array in (indices, *columns.values()):
+                array.setflags(write=False)
+            self._hp_columns[label] = (indices, columns)
+        return self._hp_columns[label]
 
     def restrict(self, method_labels: Sequence[str]) -> "StrategySpace":
         """A smaller space over the given methods (AutoMC-MultipleSource)."""
