@@ -192,5 +192,5 @@ def nearest_strategy(space: StrategySpace, record: ExperienceRecord) -> Optional
         else:
             grid = [v for v in HP_GRID[name] if not isinstance(v, str)]
             span = (max(grid) - min(grid)) or 1.0
-            total += np.abs(column.astype(np.float64, copy=False) - float(value)) / span
+            total += np.abs(column - float(value)) / span
     return space[int(indices[np.argmin(total)])]

@@ -81,7 +81,9 @@ class TransE:
         u_pos = 2.0 * (self.entities[heads] + self.relations[rels] - self.entities[tails])
         u_neg = 2.0 * (self.entities[neg_heads] + self.relations[rels] - self.entities[neg_tails])
         ent_idx = np.concatenate([heads, tails, neg_heads, neg_tails])
-        ent_grad = ordered_row_sum(ent_idx, np.concatenate([u_pos, -u_pos, -u_neg, u_neg]), n_entities)
+        ent_grad = ordered_row_sum(
+            ent_idx, np.concatenate([u_pos, -u_pos, -u_neg, u_neg]), n_entities
+        )
         ent_count = np.bincount(ent_idx, minlength=n_entities)
         rel_idx = np.concatenate([rels, rels])
         rel_grad = ordered_row_sum(rel_idx, np.concatenate([u_pos, -u_neg]), n_relations)

@@ -129,7 +129,8 @@ class StrategySpace:
             columns: Dict[str, np.ndarray] = {}
             for position, (name, value) in enumerate(members[0].hp_items if members else ()):
                 raw = [s.hp_items[position][1] for s in members]
-                columns[name] = np.array(raw) if isinstance(value, str) else np.array(raw, dtype=np.float64)
+                dtype = None if isinstance(value, str) else np.float64
+                columns[name] = np.array(raw, dtype=dtype)
             for array in (indices, *columns.values()):
                 array.setflags(write=False)
             self._hp_columns[label] = (indices, columns)
