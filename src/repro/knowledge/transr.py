@@ -113,17 +113,17 @@ class TransR:
                 continue
             self._sgd_step(
                 w[active], rels[active],
-                (heads[active], tails[active], u_pos[active]),
-                (neg_heads[active], neg_tails[active], u_neg[active]),
+                heads[active], tails[active], u_pos[active],
+                neg_heads[active], neg_tails[active], u_neg[active],
             )
         self._normalize()
         self.loss_history.append(total_loss / max(len(triplets), 1))
         return self.loss_history[-1]
 
-    def _sgd_step(self, w, rels, positive, negative) -> None:
+    def _sgd_step(self, w, rels, heads, tails, u_pos, neg_heads, neg_tails, u_neg) -> None:
         """Apply gradients of (pos_score - neg_score) for violating triplets.
 
-        ``positive`` and ``negative`` are ``(heads, tails, u)`` with ``u`` the
+        ``w`` is ``projections[rels]`` and ``u_pos`` / ``u_neg`` are the
         residuals :meth:`_residuals` computed for the batch's scores.  Many
         triplets in a batch touch the *same* relation (there are only five),
         so raw accumulation explodes; gradients are averaged per parameter
@@ -137,19 +137,18 @@ class TransR:
         """
         lr = self.config.learning_rate
         n_entities, n_relations = len(self.entities), len(self.relations)
-        (heads, tails, u_pos), (neg_heads, neg_tails, u_neg) = positive, negative
         grad_pos = 2.0 * np.einsum("nkd,nk->nd", w, u_pos)
         grad_neg = 2.0 * np.einsum("nkd,nk->nd", w, u_neg)
         ent_idx = np.concatenate([heads, tails, neg_heads, neg_tails])
         ent_grad = ordered_row_sum(
             ent_idx, np.concatenate([grad_pos, -grad_pos, -grad_neg, grad_neg]), n_entities
         )
-        ent_count = np.bincount(ent_idx, minlength=n_entities).astype(np.float64)
+        ent_count = np.bincount(ent_idx, minlength=n_entities)
         rel_idx = np.concatenate([rels, rels])
         rel_grad = ordered_row_sum(
             rel_idx, np.concatenate([2.0 * u_pos, -(2.0 * u_neg)]), n_relations
         )
-        rel_count = np.bincount(rel_idx, minlength=n_relations).astype(np.float64)
+        rel_count = np.bincount(rel_idx, minlength=n_relations)
 
         diff_pos = self.entities[heads] - self.entities[tails]
         diff_neg = self.entities[neg_heads] - self.entities[neg_tails]
