@@ -106,7 +106,6 @@ class TestTransR:
         assert not np.allclose(model.entities[0], 99.0)
 
 
-
 # --------------------------------------------------------------------------- #
 # Reference trainers: the direct np.add.at accumulation, one call per term
 # --------------------------------------------------------------------------- #
@@ -292,7 +291,6 @@ class TestExperience:
         restricted = StrategySpace(method_labels=["C3"])
         record = next(r for r in default_experience() if r.method_label == "C2")
         assert nearest_strategy(restricted, record) is None
-
 
 
 def reference_nearest_strategy(space, record):
