@@ -72,7 +72,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..compression.hooi import choose_tucker_ranks, tucker2_params
-from ..compression.surgery import greedy_removal
+from ..compression.surgery import channel_limits, greedy_removal
 from ..space.scheme import CompressionScheme
 from .diagnostics import Report
 from .graph import ModelGraph, trace_model
@@ -594,16 +594,20 @@ def _plan_removal(
     channel, like the greedy).
     """
     n = [model.unit_channels(u) for u in units]
-    limits = [
-        max(min_channels, int(math.ceil(ni * (1.0 - max_ratio)))) for ni in n
-    ]
     costs = [model.params_per_channel(u) for u in units]
-    unit_scores = [
-        np.asarray(_expected_scores(mode, n[i], model.unit_fan_in(unit), costs[i]))
+    scores = [
+        value
         for i, unit in enumerate(units)
+        for value in _expected_scores(mode, n[i], model.unit_fan_in(unit), costs[i])
     ]
-    dropped, removed = greedy_removal(unit_scores, limits, costs, budget)
-    return [int(mask.sum()) for mask in dropped], removed
+    dropped, removed = greedy_removal(
+        np.asarray(scores, dtype=np.float64),
+        n,
+        channel_limits(n, max_ratio, min_channels),
+        costs,
+        budget,
+    )
+    return [int(mask.sum()) for mask in np.split(dropped, np.cumsum(n))[:-1]], removed
 
 
 def _abstract_prune(

@@ -23,11 +23,15 @@ from ..nn import Module
 from .base import CompressionMethod, ExecutionContext, StepReport, fine_tune
 from .masks import masked_evaluation
 from .surgery import (
+    PruningPlan,
     bn_scale_magnitudes,
+    channel_limits,
     execute_plan,
     filter_l1_norms,
     filter_l2_norms,
-    plan_global_pruning,
+    greedy_removal,
+    params_per_channel,
+    plan_from_dropped,
 )
 
 _CRITERIA: Dict[str, Callable[[PrunableUnit], np.ndarray]] = {
@@ -36,6 +40,57 @@ _CRITERIA: Dict[str, Callable[[PrunableUnit], np.ndarray]] = {
     # l2 norm modulated by the BN scale — LeGR's "l2_bn_param" variant.
     "l2_bn_param": lambda u: filter_l2_norms(u) * (bn_scale_magnitudes(u) + 1e-8),
 }
+
+
+class _GlobalRanking:
+    """LeGR's planning problem with everything candidate-independent fixed.
+
+    The criterion scores, unit sizes, per-unit floors, per-channel costs
+    and total criterion mass do not depend on ``(alpha, kappa)``, so they
+    are computed once per apply; a candidate costs one affine transform of
+    the flat scores and one :func:`greedy_removal`.  Plans and fitness
+    values equal ``plan_global_pruning`` over the per-unit transformed
+    scores and the per-unit retained sums, bit for bit.
+    """
+
+    def __init__(
+        self,
+        units: List[PrunableUnit],
+        base_scores: List[np.ndarray],
+        budget: float,
+        max_ratio: float,
+    ):
+        self.units = units
+        self.base_scores = base_scores
+        self.budget = budget
+        self.counts = np.array([len(s) for s in base_scores], dtype=np.int64)
+        self.flat_base = np.concatenate([np.empty(0), *base_scores])
+        ends = np.cumsum(self.counts)
+        self.spans = list(zip((ends - self.counts).tolist(), ends.tolist()))
+        self.limits = channel_limits(self.counts, max_ratio)
+        self.costs = [params_per_channel(u) for u in units]
+        self.total = sum(float(s.sum()) for s in base_scores) + 1e-12
+
+    def removal(self, alpha: np.ndarray, kappa: np.ndarray):
+        """Flat dropped mask and parameters removed for one candidate."""
+        scores = (
+            np.repeat(alpha, self.counts) * self.flat_base
+            + np.repeat(kappa, self.counts)
+        )
+        return greedy_removal(scores, self.counts, self.limits, self.costs, self.budget)
+
+    def plan(self, alpha: np.ndarray, kappa: np.ndarray) -> PruningPlan:
+        return plan_from_dropped(self.units, *self.removal(alpha, kappa))
+
+    def retained_fraction(self, alpha: np.ndarray, kappa: np.ndarray) -> float:
+        """Fraction of the total criterion mass the candidate's plan keeps."""
+        kept = ~self.removal(alpha, kappa)[0]
+        # per-unit sums in unit order: regrouping would change the rounding
+        retained = sum(
+            float(s[kept[start:end]].sum())
+            for s, (start, end) in zip(self.base_scores, self.spans)
+        )
+        return retained / self.total
 
 
 @dataclass(eq=False)
@@ -70,29 +125,20 @@ class LeGR(CompressionMethod):
         generations = min(generations, self.max_generations)
 
         units = model.pruning_units()
-        base_scores = [criterion(u) for u in units]
+        ranking = _GlobalRanking(
+            units, [criterion(u) for u in units], budget, max_ratio
+        )
         rng = ctx.rng
 
-        def plan_for(ind: _Individual):
-            scores = {
-                u.name: ind.alpha[i] * base_scores[i] + ind.kappa[i]
-                for i, u in enumerate(units)
-            }
-            return plan_global_pruning(units, scores, budget, max_ratio=max_ratio)
-
         def fitness(ind: _Individual) -> float:
-            plan = plan_for(ind)
             if ctx.train_enabled and ctx.dataset is not None:
                 return masked_evaluation(
-                    units, plan.keep, lambda: ctx.quick_accuracy(model)
+                    units,
+                    ranking.plan(ind.alpha, ind.kappa).keep,
+                    lambda: ctx.quick_accuracy(model),
                 )
             # Analysis-only proxy: fraction of total criterion mass retained.
-            retained = sum(
-                float(base_scores[i][plan.keep[u.name]].sum())
-                for i, u in enumerate(units)
-            )
-            total = sum(float(s.sum()) for s in base_scores) + 1e-12
-            return retained / total
+            return ranking.retained_fraction(ind.alpha, ind.kappa)
 
         # --- regularised evolution over (alpha, kappa) -------------------
         n = len(units)
@@ -120,8 +166,7 @@ class LeGR(CompressionMethod):
                 population.remove(min(population, key=lambda i: i.fitness))
 
         best = max(population, key=lambda i: i.fitness)
-        plan = plan_for(best)
-        execute_plan(units, plan)
+        execute_plan(units, ranking.plan(best.alpha, best.kappa))
         # One-shot plans undershoot the budget on chain topologies (unit
         # costs interact); top up with the learned ranking's criterion.
         removed_so_far = params_before - model.num_parameters()

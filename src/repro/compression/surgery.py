@@ -193,25 +193,28 @@ class PruningPlan:
 
 
 def greedy_removal(
-    unit_scores: Sequence[np.ndarray],
+    scores: np.ndarray,
+    counts: Sequence[int],
     limits: Sequence[int],
     costs: Sequence[int],
     budget: float,
-) -> Tuple[List[np.ndarray], int]:
+) -> Tuple[np.ndarray, int]:
     """The global pruning greedy, over every unit's channels at once.
 
-    Channels go in ascending score order across all units; the sort is
-    stable, so tied scores go in (unit, channel) order.  A channel of unit
-    ``u`` is eligible while fewer than ``len(unit_scores[u]) - limits[u]``
-    of its unit's channels came before it, and an eligible channel is taken
-    while the eligible channels before it cost (``costs[u]`` parameters
-    each) less than ``budget``.  Scores must not be NaN.
+    ``scores`` holds every unit's channel scores back to back, unit ``u``
+    owning the next ``counts[u]`` of them.  Channels go in ascending score
+    order across all units; the sort is stable, so tied scores go in
+    (unit, channel) order.  A channel of unit ``u`` is eligible while fewer
+    than ``counts[u] - limits[u]`` of its unit's channels came before it,
+    and an eligible channel is taken while the eligible channels before it
+    cost (``costs[u]`` parameters each) less than ``budget``.  Scores must
+    not be NaN.
 
-    Returns each unit's boolean "dropped" mask and the parameters removed.
+    Returns the boolean "dropped" mask over ``scores`` and the parameters
+    removed.
     """
-    counts = np.array([len(s) for s in unit_scores], dtype=np.int64)
-    flat = np.concatenate([np.empty(0), *unit_scores])
-    order = np.argsort(flat, kind="stable")
+    counts = np.asarray(counts, dtype=np.int64)
+    order = np.argsort(scores, kind="stable")
     unit = np.repeat(np.arange(len(counts)), counts)[order]
     # each channel's rank among its own unit's channels, in removal order
     by_unit = np.argsort(unit, kind="stable")
@@ -222,7 +225,27 @@ def greedy_removal(
     taken = eligible & (np.cumsum(cost) - cost < budget)
     dropped = np.zeros(len(order), dtype=bool)
     dropped[order[taken]] = True
-    return np.split(dropped, np.cumsum(counts))[:-1], int(cost[taken].sum())
+    return dropped, int(cost[taken].sum())
+
+
+def channel_limits(
+    counts: Sequence[int], max_ratio: float, min_channels: int = 1
+) -> List[int]:
+    """Fewest channels each unit may keep: ``min_channels``, and at most
+    ``max_ratio`` of its ``counts`` channels removed."""
+    return [max(min_channels, int(np.ceil(n * (1.0 - max_ratio)))) for n in counts]
+
+
+def plan_from_dropped(
+    units: Sequence[PrunableUnit], dropped: np.ndarray, removed: int
+) -> PruningPlan:
+    """The :class:`PruningPlan` of a :func:`greedy_removal` result."""
+    bounds = np.cumsum([unit.out_channels for unit in units])[:-1]
+    keep = {
+        unit.name: np.flatnonzero(~mask)
+        for unit, mask in zip(units, np.split(dropped, bounds))
+    }
+    return PruningPlan(keep=keep, params_removed=removed)
 
 
 def plan_global_pruning(
@@ -246,15 +269,15 @@ def plan_global_pruning(
                 f"score length {values.shape[0]} != channels "
                 f"{unit.out_channels} for {unit.name}"
             )
-    limits = [
-        max(min_channels, int(np.ceil(unit.out_channels * (1.0 - max_ratio))))
-        for unit in units
-    ]
+    counts = [unit.out_channels for unit in units]
     dropped, removed = greedy_removal(
-        unit_scores, limits, [params_per_channel(u) for u in units], param_budget
+        np.concatenate([np.empty(0), *unit_scores]),
+        counts,
+        channel_limits(counts, max_ratio, min_channels),
+        [params_per_channel(u) for u in units],
+        param_budget,
     )
-    keep = {unit.name: np.flatnonzero(~mask) for unit, mask in zip(units, dropped)}
-    return PruningPlan(keep=keep, params_removed=removed)
+    return plan_from_dropped(units, dropped, removed)
 
 
 def execute_plan(units: Sequence[PrunableUnit], plan: PruningPlan) -> None:

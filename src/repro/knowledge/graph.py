@@ -22,13 +22,15 @@ and tests) and as integer triplet arrays (for TransR training).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..space.hyperparams import HP_GRID, METHOD_HPS
 from ..space.strategy import StrategySpace
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 RELATIONS = ("R1", "R2", "R3", "R4", "R5")
 
@@ -73,6 +75,10 @@ class KnowledgeGraph:
 
 def build_knowledge_graph(space: StrategySpace) -> KnowledgeGraph:
     """Construct G for every strategy in ``space``."""
+    # networkx is imported here, not at module level: it is the slowest
+    # import of the package and only graph construction needs it.
+    import networkx as nx
+
     graph = nx.MultiDiGraph()
     entity_index: Dict[str, int] = {}
     triplet_list: List[Tuple[int, int, int]] = []

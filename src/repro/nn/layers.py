@@ -17,7 +17,7 @@ import numpy as np
 
 from . import functional as F
 from . import init
-from .tensor import Tensor, get_default_dtype
+from .tensor import _ATOMIC, Tensor, _deepcopy_value, get_default_dtype
 
 
 class Parameter(Tensor):
@@ -52,6 +52,24 @@ class Module:
         elif isinstance(value, Module):
             self.__dict__.setdefault("_modules", {})[name] = value
         object.__setattr__(self, name, value)
+
+    def __deepcopy__(self, memo: dict) -> "Module":
+        """Copy the module tree attribute by attribute.
+
+        Equivalent to the stdlib's reduce-based copy but without its
+        per-object reduce round trip.  The copy is in ``memo`` before its
+        attributes are copied, and each attribute goes through the shared
+        memo, so ``self.weight`` and ``self._parameters["weight"]`` stay one
+        object in the copy.
+        """
+        cls = type(self)
+        result = cls.__new__(cls)
+        memo[id(self)] = result
+        state = {}
+        for name, value in self.__dict__.items():
+            state[name] = value if type(value) in _ATOMIC else _deepcopy_value(value, memo)
+        object.__setattr__(result, "__dict__", state)
+        return result
 
     def register_buffer(self, name: str, value: np.ndarray) -> None:
         self._buffers[name] = value

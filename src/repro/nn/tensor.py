@@ -26,6 +26,7 @@ which is the fast path for accuracy evaluation and other pure inference.
 
 from __future__ import annotations
 
+import copy
 import sys
 import threading
 import traceback
@@ -223,6 +224,54 @@ def _as_array(value: ArrayLike, dtype=None) -> np.ndarray:
     return np.asarray(value, dtype=target)
 
 
+# --------------------------------------------------------------------------- #
+# Structural deep copy (Tensor.__deepcopy__ and Module.__deepcopy__)
+# --------------------------------------------------------------------------- #
+#: types ``copy.deepcopy`` returns as they are
+_ATOMIC = frozenset({type(None), bool, int, float, complex, str, bytes})
+_MISSING = object()
+
+
+def _deepcopy_value(value, memo: dict):
+    """``copy.deepcopy(value, memo)`` with a model's common leaves inlined.
+
+    An exact ``np.ndarray`` of a non-object dtype is copied with
+    ``copy(order="K")``, as ``ndarray.__deepcopy__`` does, so strided and
+    F-ordered layouts survive.  Arrays and plain dicts are registered in
+    ``memo`` before anything else is copied, so two names for one object
+    stay one object in the copy.  A value whose class has a
+    ``__deepcopy__`` (a child module or :class:`Tensor`) is passed to it
+    directly, as :func:`copy.deepcopy` would do after its dispatch; every
+    other value goes to :func:`copy.deepcopy`.
+    """
+    cls = type(value)
+    if cls in _ATOMIC:
+        return value
+    found = memo.get(id(value), _MISSING)
+    if found is not _MISSING:
+        return found
+    if cls is np.ndarray and not value.dtype.hasobject:
+        result = value.copy(order="K")
+        memo[id(value)] = result
+        return result
+    if cls is tuple and not value:
+        return value
+    if cls is dict:
+        result = {}
+        memo[id(value)] = result
+        for key, item in value.items():
+            result[_deepcopy_value(key, memo)] = _deepcopy_value(item, memo)
+        return result
+    copier = getattr(cls, "__deepcopy__", None)
+    if copier is not None:
+        # what copy.deepcopy would call, without its dispatch round trip
+        result = copier(value, memo)
+        if result is not value:
+            memo[id(value)] = result
+        return result
+    return copy.deepcopy(value, memo)
+
+
 class _TensorMeta(type):
     @property
     def inference(cls) -> bool:
@@ -295,6 +344,27 @@ class Tensor(metaclass=_TensorMeta):
 
     def zero_grad(self) -> None:
         self.grad = None
+
+    def __deepcopy__(self, memo: dict) -> "Tensor":
+        """Copy the slots (and a subclass's ``__dict__``) value by value.
+
+        Same result as the stdlib's reduce-based copy: ``_backward``
+        closures are shared, ``_parents`` and ``grad`` are copied.
+        """
+        cls = type(self)
+        result = cls.__new__(cls)
+        memo[id(self)] = result
+        for name in Tensor.__slots__:
+            value = getattr(self, name, _MISSING)
+            if value is _MISSING:
+                continue
+            if type(value) not in _ATOMIC:
+                value = _deepcopy_value(value, memo)
+            setattr(result, name, value)
+        state = getattr(self, "__dict__", None)
+        if state:
+            result.__dict__.update(_deepcopy_value(state, memo))
+        return result
 
     # ------------------------------------------------------------------ #
     # Graph construction

@@ -1,5 +1,10 @@
 """Tests for the knowledge graph, TransR, experience and Algorithm 1."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -73,6 +78,19 @@ class TestKnowledgeGraph:
     def test_graph_is_connected_via_methods(self, small_graph):
         undirected = small_graph.graph.to_undirected()
         assert nx.number_connected_components(undirected) == 1
+
+    def test_import_repro_leaves_networkx_unloaded(self):
+        """networkx loads only when a graph is built, not with the package."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro; print('networkx' in sys.modules)"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestTransR:

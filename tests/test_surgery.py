@@ -14,6 +14,7 @@ from repro.compression.surgery import (
     execute_plan,
     filter_l1_norms,
     filter_l2_norms,
+    greedy_removal,
     params_per_channel,
     plan_global_pruning,
     prune_by_scores,
@@ -215,6 +216,48 @@ class TestGreedyMatchesReference:
     def test_empty_unit_list(self):
         plan = plan_global_pruning([], {}, param_budget=100)
         assert plan.keep == {} and plan.params_removed == 0
+
+
+class TestFlatGreedy:
+    """``greedy_removal`` over flat scores plus per-unit counts."""
+
+    @pytest.mark.parametrize("model", ["resnet56", "vgg16"])
+    @pytest.mark.parametrize("kind", ["l2", "coarse", "tied"])
+    @pytest.mark.parametrize("max_ratio", [0.3, 1.0])
+    @pytest.mark.parametrize("budget", ["zero", "fifth", "over_total"])
+    def test_same_drops_as_reference(self, paper_units, model, kind, max_ratio, budget):
+        units = paper_units[model]
+        costs = [params_per_channel(u) for u in units]
+        counts = [u.out_channels for u in units]
+        total = sum(c * n for c, n in zip(costs, counts))
+        param_budget = {"zero": 0, "fifth": total // 5, "over_total": total + 1}[budget]
+        scores = _scores(units, kind)
+        limits = [max(1, int(np.ceil(n * (1.0 - max_ratio)))) for n in counts]
+        dropped, removed = greedy_removal(
+            np.concatenate([scores[u.name] for u in units]), counts, limits, costs, param_budget
+        )
+        keep, expected_removed = reference_plan(units, scores, param_budget, max_ratio=max_ratio)
+        assert removed == expected_removed and type(removed) is int
+        assert dropped.dtype == bool and dropped.shape == (sum(counts),)
+        expected = np.ones(sum(counts), dtype=bool)
+        start = 0
+        for unit, n in zip(units, counts):
+            expected[start + keep[unit.name]] = False
+            start += n
+        np.testing.assert_array_equal(dropped, expected)
+
+    def test_no_units(self):
+        dropped, removed = greedy_removal(np.empty(0), [], [], [], 100)
+        assert dropped.shape == (0,) and removed == 0
+
+    def test_float32_scores_sort_like_float64(self):
+        rng = np.random.default_rng(3)
+        scores = rng.random(40).astype(np.float32)
+        args = ([10, 30], [2, 5], [7, 3], 60)
+        narrow, removed = greedy_removal(scores, *args)
+        wide, expected = greedy_removal(scores.astype(np.float64), *args)
+        np.testing.assert_array_equal(narrow, wide)
+        assert removed == expected
 
 
 class TestPruneByScores:
