@@ -14,7 +14,7 @@ criterion (``l1_weight``, ``l2_weight``, ``l2_bn_param``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -71,7 +71,7 @@ class _GlobalRanking:
         self.costs = [params_per_channel(u) for u in units]
         self.total = sum(float(s.sum()) for s in base_scores) + 1e-12
 
-    def removal(self, alpha: np.ndarray, kappa: np.ndarray):
+    def removal(self, alpha: np.ndarray, kappa: np.ndarray) -> Tuple[np.ndarray, int]:
         """Flat dropped mask and parameters removed for one candidate."""
         scores = (
             np.repeat(alpha, self.counts) * self.flat_base

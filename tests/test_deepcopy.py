@@ -130,7 +130,6 @@ def assert_copy_equivalent(source):
     for _, a in _arrays(got):
         a[...] = 0
     assert [(path, a.tobytes()) for path, a in _arrays(_walk(source))] == before
-    return clone
 
 
 @pytest.fixture(scope="module")
