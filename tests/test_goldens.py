@@ -422,3 +422,53 @@ def test_embeddings_match_goldens(update_goldens):
     assert set(measured) == set(golden)
     for name, expected in golden.items():
         assert measured[name] == expected, name
+
+
+# --------------------------------------------------------------------------- #
+# Knowledge-graph golden: G's entity ids, triplet rows and inspect output
+# --------------------------------------------------------------------------- #
+GRAPH_GOLDEN_PATH = Path(__file__).parent / "goldens" / "knowledge_graph.json"
+
+
+def _graph_outcome(space: StrategySpace) -> dict:
+    import hashlib
+
+    from repro.knowledge.graph import ENTITY_TYPES, build_knowledge_graph
+
+    def sha256(text: str) -> str:
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    graph = build_knowledge_graph(space)
+    names = sorted(graph.entity_index, key=graph.entity_index.__getitem__)
+    return {
+        "triplets_sha256": hashlib.sha256(graph.triplets.tobytes()).hexdigest(),
+        "triplets_shape": list(graph.triplets.shape),
+        "triplets_dtype": str(graph.triplets.dtype),
+        "entity_names_sha256": sha256(json.dumps(names)),
+        "skeleton_names": names[: len(names) - len(graph.strategy_entities)],
+        "strategy_entities_sha256": sha256(json.dumps(list(graph.strategy_entities.items()))),
+        "entity_type_counts": {t: len(graph.entities_of_type(t)) for t in ENTITY_TYPES},
+    }
+
+
+def test_knowledge_graph_matches_goldens(capsys, update_goldens):
+    """G over the paper's space and the quantization-extended space: the
+    triplet array's bytes, the entity names in id order, the strategy ->
+    entity map and the per-type counts, plus ``repro inspect --graph``'s
+    stdout.  TransR trains on these ids, so a reordered entity or triplet
+    changes the learned embeddings even when the graph's facts are equal."""
+    from repro.cli import main
+
+    measured = {
+        "default": _graph_outcome(StrategySpace()),
+        "quantization": _graph_outcome(StrategySpace(include_quantization=True)),
+    }
+    capsys.readouterr()
+    assert main(["inspect", "--graph"]) == 0
+    measured["inspect_graph_stdout"] = capsys.readouterr().out
+    if update_goldens:
+        GRAPH_GOLDEN_PATH.write_text(json.dumps(measured, indent=2, sort_keys=True) + "\n")
+        pytest.skip("knowledge-graph goldens regenerated; review the diff")
+
+    golden = json.loads(GRAPH_GOLDEN_PATH.read_text())
+    assert measured == golden
