@@ -78,7 +78,7 @@ def learn_embeddings(
             TransRConfig(entity_dim=cfg.dim, relation_dim=cfg.dim, seed=cfg.seed),
         )
         strategy_ids = np.array(
-            [graph.strategy_entities[s.identifier] for s in space], dtype=np.int64
+            [graph.strategy_entities[i] for i in space.identifiers], dtype=np.int64
         )
         table = transr.entities[strategy_ids].copy()
     else:

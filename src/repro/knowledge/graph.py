@@ -15,22 +15,20 @@ R4        method -> each of its techniques    (E2 -> E5)
 R5        hyperparameter -> each setting      (E3 -> E4)
 ========  ==========================================================
 
-The graph is stored both as a :class:`networkx.MultiDiGraph` (for inspection
-and tests) and as integer triplet arrays (for TransR training).
+G is stored as arrays: ``entity_index`` maps each name to its id,
+``entity_types`` gives each id's type, and ``triplets`` holds the
+(head, relation, tail) rows that TransR trains on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ..space.hyperparams import HP_GRID, METHOD_HPS
 from ..space.strategy import StrategySpace
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 RELATIONS = ("R1", "R2", "R3", "R4", "R5")
 
@@ -45,8 +43,8 @@ def _setting_id(hp: str, value: object) -> str:
 class KnowledgeGraph:
     """The compression-strategy knowledge graph G."""
 
-    graph: nx.MultiDiGraph
-    entity_index: Dict[str, int]
+    entity_index: Dict[str, int]  # name -> entity id, in id order
+    entity_types: np.ndarray  # (num_entities,) int8 index into ENTITY_TYPES
     relation_index: Dict[str, int]
     triplets: np.ndarray  # (n, 3) int array of (head, relation, tail)
     strategy_entities: Dict[str, int]  # strategy identifier -> entity id
@@ -60,11 +58,12 @@ class KnowledgeGraph:
         return len(self.relation_index)
 
     def entities_of_type(self, entity_type: str) -> List[str]:
-        return [
-            name
-            for name, attrs in self.graph.nodes(data=True)
-            if attrs.get("entity_type") == entity_type
-        ]
+        """Names of ``entity_type``'s entities, in id order."""
+        if entity_type not in ENTITY_TYPES:
+            return []
+        names = list(self.entity_index)
+        members = np.flatnonzero(self.entity_types == ENTITY_TYPES.index(entity_type))
+        return [names[i] for i in members]
 
     def __repr__(self) -> str:
         return (
@@ -74,60 +73,72 @@ class KnowledgeGraph:
 
 
 def build_knowledge_graph(space: StrategySpace) -> KnowledgeGraph:
-    """Construct G for every strategy in ``space``."""
-    # networkx is imported here, not at module level: it is the slowest
-    # import of the package and only graph construction needs it.
-    import networkx as nx
+    """Construct G for every strategy in ``space``.
 
-    graph = nx.MultiDiGraph()
+    Entity ids follow first appearance: each method's skeleton (the method,
+    its techniques, then each hyperparameter followed by its settings), and
+    after all methods one strategy entity per point of ``space`` in index
+    order.  Triplets follow the same walk; a strategy contributes its R1
+    row, then one R2 row per hyperparameter.
+    """
+    from ..compression import get_method
+
     entity_index: Dict[str, int] = {}
-    triplet_list: List[Tuple[int, int, int]] = []
+    types: List[int] = []
+    skeleton: List[Tuple[int, int, int]] = []
     relation_index = {r: i for i, r in enumerate(RELATIONS)}
+    r1, r2, r3, r4, r5 = (relation_index[r] for r in RELATIONS)
 
     def entity(name: str, entity_type: str) -> int:
         if name not in entity_index:
             entity_index[name] = len(entity_index)
-            graph.add_node(name, entity_type=entity_type)
+            types.append(ENTITY_TYPES.index(entity_type))
         return entity_index[name]
 
-    def add(head: int, relation: str, tail: int, head_name: str, tail_name: str) -> None:
-        triplet_list.append((head, relation_index[relation], tail))
-        graph.add_edge(head_name, tail_name, key=relation, relation=relation)
-
     # Static skeleton: methods, hyperparameters, settings, techniques.
+    setting_entities: Dict[str, np.ndarray] = {}  # hp -> its grid's entity ids
+    r5_pairs = set()
     for label in space.method_labels:
         method_node = entity(label, "method")
-        from ..compression import get_method
-
         for technique in get_method(label).techniques:
-            te_node = entity(technique, "technique")
-            add(method_node, "R4", te_node, label, technique)
+            skeleton.append((method_node, r4, entity(technique, "technique")))
         for hp in METHOD_HPS[label]:
             hp_node = entity(hp, "hyperparameter")
-            add(method_node, "R3", hp_node, label, hp)
-            for value in HP_GRID[hp]:
-                setting = _setting_id(hp, value)
-                setting_node = entity(setting, "setting")
-                # R5 edges are added once per (hp, setting) pair.
-                if not graph.has_edge(hp, setting, key="R5"):
-                    add(hp_node, "R5", setting_node, hp, setting)
+            skeleton.append((method_node, r3, hp_node))
+            settings = [entity(_setting_id(hp, value), "setting") for value in HP_GRID[hp]]
+            setting_entities[hp] = np.array(settings, dtype=np.int64)
+            for setting_node in settings:
+                # R5 rows are added once per (hp, setting) pair.
+                if (hp_node, setting_node) not in r5_pairs:
+                    r5_pairs.add((hp_node, setting_node))
+                    skeleton.append((hp_node, r5, setting_node))
 
-    # One strategy node per point of the space.
-    strategy_entities: Dict[str, int] = {}
-    for strategy in space:
-        identifier = strategy.identifier
-        node = entity(identifier, "strategy")
-        strategy_entities[identifier] = node
-        add(node, "R1", entity_index[strategy.method_label],
-            identifier, strategy.method_label)
-        for hp, value in strategy.hp_items:
-            setting = _setting_id(hp, value)
-            add(node, "R2", entity_index[setting], identifier, setting)
+    # One strategy entity per point of the space, numbered in index order.
+    base = len(entity_index)
+    strategy_entities = dict(zip(space.identifiers, range(base, base + len(space))))
+    entity_index.update(strategy_entities)
+    if len(entity_index) != base + len(space):
+        raise ValueError("strategy identifiers must be unique and distinct from other entities")
+    types.extend([ENTITY_TYPES.index("strategy")] * len(space))
+
+    # Per method, one (strategies, 1 + #HPs, 3) block: the R1 row, then R2 rows.
+    blocks = [np.asarray(skeleton, dtype=np.int64).reshape(-1, 3)]
+    for label in space.method_labels:
+        indices, positions = space.grid_positions(label)
+        hps = METHOD_HPS[label]
+        block = np.empty((len(indices), 1 + len(hps), 3), dtype=np.int64)
+        block[:, :, 0] = (base + indices)[:, None]
+        block[:, 0, 1] = r1
+        block[:, 0, 2] = entity_index[label]
+        block[:, 1:, 1] = r2
+        for j, hp in enumerate(hps):
+            block[:, 1 + j, 2] = setting_entities[hp][positions[:, j]]
+        blocks.append(block.reshape(-1, 3))
 
     return KnowledgeGraph(
-        graph=graph,
         entity_index=entity_index,
+        entity_types=np.array(types, dtype=np.int8),
         relation_index=relation_index,
-        triplets=np.asarray(triplet_list, dtype=np.int64),
+        triplets=np.concatenate(blocks),
         strategy_entities=strategy_entities,
     )

@@ -75,15 +75,29 @@ class TransR:
         rnorms = np.linalg.norm(self.relations, axis=1, keepdims=True)
         np.divide(self.relations, np.maximum(rnorms, 1.0), out=self.relations)
 
-    def _residuals(self, w: np.ndarray, heads, rels, tails) -> np.ndarray:
-        """``W_r e_h + e_r - W_r e_t`` per triplet, given ``w = projections[rels]``."""
-        h = np.einsum("nkd,nd->nk", w, self.entities[heads])
-        t = np.einsum("nkd,nd->nk", w, self.entities[tails])
-        return h + self.relations[rels] - t
+    def _residuals(self, rels: np.ndarray, *pairs) -> List[np.ndarray]:
+        """``W_r e_h + e_r - W_r e_t`` per row, for each ``(heads, tails)`` pair.
+
+        Rows are grouped by relation (G has five), and each group's head and
+        tail rows of every pair are projected by its own ``W_r`` in one
+        ``"kd,nd->nk"`` einsum.  That einsum adds the same terms in the same
+        order as ``"nkd,nd->nk"`` over a gathered ``projections[rels]``, so
+        each residual is bit-for-bit the gathered one, with no per-row copy
+        of ``W_r``.  ``np.matmul`` is not bitwise equal to it.
+        """
+        out = [np.empty((len(rels), self.config.relation_dim)) for _ in pairs]
+        for r in np.unique(rels):
+            rows = np.flatnonzero(rels == r)
+            ids = np.concatenate([index[rows] for pair in pairs for index in pair])
+            projected = np.einsum("kd,nd->nk", self.projections[r], self.entities[ids])
+            parts = projected.reshape(2 * len(pairs), len(rows), -1)
+            for u, head, tail in zip(out, parts[0::2], parts[1::2]):
+                u[rows] = head + self.relations[r] - tail
+        return out
 
     def score(self, heads: np.ndarray, rels: np.ndarray, tails: np.ndarray) -> np.ndarray:
         """||W_r e_h + e_r - W_r e_t||^2 for each triplet (lower = better)."""
-        diff = self._residuals(self.projections[rels], heads, rels, tails)
+        (diff,) = self._residuals(rels, (heads, tails))
         return (diff ** 2).sum(axis=1)
 
     # ------------------------------------------------------------------ #
@@ -103,16 +117,14 @@ class TransR:
             neg_heads = np.where(corrupt_head, random_entities, heads)
             neg_tails = np.where(corrupt_head, tails, random_entities)
 
-            w = self.projections[rels]  # (n, k, d)
-            u_pos = self._residuals(w, heads, rels, tails)
-            u_neg = self._residuals(w, neg_heads, rels, neg_tails)
+            u_pos, u_neg = self._residuals(rels, (heads, tails), (neg_heads, neg_tails))
             violation = cfg.margin + (u_pos ** 2).sum(axis=1) - (u_neg ** 2).sum(axis=1)
             active = violation > 0
             total_loss += float(violation[active].sum())
             if not active.any():
                 continue
             self._sgd_step(
-                w[active], rels[active],
+                rels[active],
                 heads[active], tails[active], u_pos[active],
                 neg_heads[active], neg_tails[active], u_neg[active],
             )
@@ -120,15 +132,19 @@ class TransR:
         self.loss_history.append(total_loss / max(len(triplets), 1))
         return self.loss_history[-1]
 
-    def _sgd_step(self, w, rels, heads, tails, u_pos, neg_heads, neg_tails, u_neg) -> None:
+    def _sgd_step(self, rels, heads, tails, u_pos, neg_heads, neg_tails, u_neg) -> None:
         """Apply gradients of (pos_score - neg_score) for violating triplets.
 
-        ``w`` is ``projections[rels]`` and ``u_pos`` / ``u_neg`` are the
-        residuals :meth:`_residuals` computed for the batch's scores.  Many
-        triplets in a batch touch the *same* relation (there are only five),
-        so raw accumulation explodes; gradients are averaged per parameter
-        (entity / relation / projection) before the update.
+        ``u_pos`` / ``u_neg`` are the residuals :meth:`_residuals` computed
+        for the batch's scores.  Many triplets in a batch touch the *same*
+        relation (there are only five), so raw accumulation explodes;
+        gradients are averaged per parameter (entity / relation / projection)
+        before the update.
 
+        Each relation's rows are handled together: one ``"kd,nk->nd"``
+        einsum by its own ``W_r`` gives their entity gradients (bit-for-bit
+        the gathered ``"nkd,nk->nd"``), scattered back to batch order, and
+        their ``u ⊗ (e_h - e_t)`` rows sum to its projection gradient.
         Each table is accumulated in one ordered pass — entity rows over
         positive heads, positive tails, negative heads, negative tails, and
         each relation's rows over its positive then negative triplets — so
@@ -137,8 +153,22 @@ class TransR:
         """
         lr = self.config.learning_rate
         n_entities, n_relations = len(self.entities), len(self.relations)
-        grad_pos = 2.0 * np.einsum("nkd,nk->nd", w, u_pos)
-        grad_neg = 2.0 * np.einsum("nkd,nk->nd", w, u_neg)
+        diff_pos = self.entities[heads] - self.entities[tails]
+        diff_neg = self.entities[neg_heads] - self.entities[neg_tails]
+        grad_pos = np.empty_like(diff_pos)
+        grad_neg = np.empty_like(diff_neg)
+        proj_grad = np.zeros_like(self.projections)
+        for r in np.unique(rels):
+            rows = np.flatnonzero(rels == r)
+            u = np.concatenate([u_pos[rows], u_neg[rows]])
+            grad = 2.0 * np.einsum("kd,nk->nd", self.projections[r], u)
+            grad_pos[rows] = grad[: len(rows)]
+            grad_neg[rows] = grad[len(rows):]
+            outer = np.einsum("nk,nd->nkd", u, np.concatenate([diff_pos[rows], diff_neg[rows]]))
+            outer *= 2.0
+            outer[len(rows):] *= -1.0
+            proj_grad[r] = _ordered_total(outer)
+
         ent_idx = np.concatenate([heads, tails, neg_heads, neg_tails])
         ent_grad = ordered_row_sum(
             ent_idx, np.concatenate([grad_pos, -grad_pos, -grad_neg, grad_neg]), n_entities
@@ -149,19 +179,6 @@ class TransR:
             rel_idx, np.concatenate([2.0 * u_pos, -(2.0 * u_neg)]), n_relations
         )
         rel_count = np.bincount(rel_idx, minlength=n_relations)
-
-        diff_pos = self.entities[heads] - self.entities[tails]
-        diff_neg = self.entities[neg_heads] - self.entities[neg_tails]
-        proj_grad = np.zeros_like(self.projections)
-        for r in np.unique(rels):
-            rows = np.flatnonzero(rels == r)
-            outer = 2.0 * np.einsum(
-                "nk,nd->nkd",
-                np.concatenate([u_pos[rows], u_neg[rows]]),
-                np.concatenate([diff_pos[rows], diff_neg[rows]]),
-            )
-            outer[len(rows):] *= -1.0
-            proj_grad[r] = _ordered_total(outer)
 
         ent_scale = np.maximum(ent_count, 1.0)[:, None]
         rel_scale = np.maximum(rel_count, 1.0)

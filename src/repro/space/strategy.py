@@ -85,17 +85,24 @@ class StrategySpace:
                 method_labels = method_labels + sorted(EXTENSION_METHODS)
         self.method_labels = list(method_labels)
         self._strategies: List[CompressionStrategy] = []
+        #: every strategy's ``identifier``, in index order, computed once
+        self.identifiers: List[str] = []
         self._by_id: Dict[str, CompressionStrategy] = {}
+        self._blocks: Dict[str, Tuple[int, int]] = {}
         for label in self.method_labels:
             hp_names = METHOD_HPS[label]
+            start = len(self._strategies)
             for values in itertools.product(*(HP_GRID[name] for name in hp_names)):
                 strategy = CompressionStrategy(
                     method_label=label,
                     hp_items=tuple(zip(hp_names, values)),
                     index=len(self._strategies),
                 )
+                identifier = strategy.identifier
                 self._strategies.append(strategy)
-                self._by_id[strategy.identifier] = strategy
+                self.identifiers.append(identifier)
+                self._by_id[identifier] = strategy
+            self._blocks[label] = (start, len(self._strategies))
         #: read-only float64 array of every strategy's ``param_step`` (HP2)
         self.param_steps = np.array([s.param_step for s in self._strategies], dtype=np.float64)
         self.param_steps.setflags(write=False)
@@ -135,6 +142,19 @@ class StrategySpace:
                 array.setflags(write=False)
             self._hp_columns[label] = (indices, columns)
         return self._hp_columns[label]
+
+    def grid_positions(self, label: str) -> Tuple[np.ndarray, np.ndarray]:
+        """``label``'s strategy indices and each one's position in every grid.
+
+        ``positions[i, j]`` is the index of strategy ``indices[i]``'s value in
+        ``HP_GRID[METHOD_HPS[label][j]]``.  A method's strategies are one
+        contiguous block enumerated by ``itertools.product``, last
+        hyperparameter fastest, which is the C order of ``np.indices``.
+        """
+        start, stop = self._blocks[label]
+        sizes = [len(HP_GRID[name]) for name in METHOD_HPS[label]]
+        positions = np.indices(sizes).reshape(len(sizes), stop - start).T
+        return np.arange(start, stop), positions
 
     def restrict(self, method_labels: Sequence[str]) -> "StrategySpace":
         """A smaller space over the given methods (AutoMC-MultipleSource)."""

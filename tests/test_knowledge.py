@@ -5,7 +5,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +23,7 @@ from repro.knowledge import (
     nearest_strategy,
 )
 from repro.knowledge.graph import ENTITY_TYPES, RELATIONS
+from repro.knowledge.transr import _ordered_total, ordered_row_sum
 from repro.space import StrategySpace
 from repro.space.hyperparams import HP_GRID, METHOD_HPS
 
@@ -39,6 +39,20 @@ def small_graph(small_space):
     return build_knowledge_graph(small_space)
 
 
+@pytest.fixture(scope="module", params=["C3+C4", "with-quantization"])
+def graph_case(request, small_space, small_graph):
+    """The small graph, and the graph over all eight methods (C7/C8 share
+    HP1 with the paper's methods and add HP17..HP20)."""
+    if request.param == "C3+C4":
+        return small_space, small_graph
+    space = StrategySpace(include_quantization=True)
+    return space, build_knowledge_graph(space)
+
+
+def _rows(graph, relation):
+    return graph.triplets[graph.triplets[:, 1] == graph.relation_index[relation]]
+
+
 class TestKnowledgeGraph:
     def test_entity_types_complete(self, small_graph):
         for entity_type in ENTITY_TYPES:
@@ -49,24 +63,52 @@ class TestKnowledgeGraph:
         for strategy in small_space:
             assert strategy.identifier in small_graph.strategy_entities
 
-    def test_r1_every_strategy_links_to_its_method(self, small_space, small_graph):
-        g = small_graph.graph
-        for strategy in small_space:
-            assert g.has_edge(strategy.identifier, strategy.method_label, key="R1")
+    def test_strategy_entities_follow_space_order(self, graph_case):
+        space, graph = graph_case
+        assert graph.entities_of_type("strategy") == [s.identifier for s in space]
+        assert list(graph.strategy_entities) == [s.identifier for s in space]
 
-    def test_r2_settings_per_strategy(self, small_space, small_graph):
-        g = small_graph.graph
-        strategy = small_space[0]
-        settings = [
-            t for _, t, k in g.out_edges(strategy.identifier, keys=True) if k == "R2"
-        ]
-        assert len(settings) == len(strategy.hp_items)
+    def test_relations_join_their_entity_types(self, graph_case):
+        _, graph = graph_case
+        expected = {"R1": ("strategy", "method"), "R2": ("strategy", "setting"),
+                    "R3": ("method", "hyperparameter"), "R4": ("method", "technique"),
+                    "R5": ("hyperparameter", "setting")}
+        for relation, (head_type, tail_type) in expected.items():
+            rows = graph.triplets[graph.triplets[:, 1] == graph.relation_index[relation]]
+            assert len(rows), relation
+            assert {ENTITY_TYPES[c] for c in graph.entity_types[rows[:, 0]]} == {head_type}
+            assert {ENTITY_TYPES[c] for c in graph.entity_types[rows[:, 2]]} == {tail_type}
 
-    def test_r5_no_duplicate_edges(self, small_graph):
-        g = small_graph.graph
-        for hp in small_graph.entities_of_type("hyperparameter"):
-            for setting in {t for _, t, k in g.out_edges(hp, keys=True) if k == "R5"}:
-                assert g.number_of_edges(hp, setting) == 1
+    def test_r1_every_strategy_links_to_its_method(self, graph_case):
+        space, graph = graph_case
+        rows = _rows(graph, "R1")
+        heads = [graph.strategy_entities[s.identifier] for s in space]
+        assert sorted(rows[:, 0].tolist()) == heads  # one R1 row per strategy
+        method_of = dict(zip(rows[:, 0].tolist(), rows[:, 2].tolist()))
+        for strategy, head in zip(space, heads):
+            assert method_of[head] == graph.entity_index[strategy.method_label]
+
+    def test_r2_settings_per_strategy(self, graph_case):
+        space, graph = graph_case
+        rows = _rows(graph, "R2")
+        settings = {}
+        for head, tail in rows[:, [0, 2]].tolist():
+            settings.setdefault(head, []).append(tail)
+        assert len(settings) == len(space)
+        for strategy in space:
+            assert settings[graph.strategy_entities[strategy.identifier]] == [
+                graph.entity_index[f"{hp}={value}"] for hp, value in strategy.hp_items
+            ]
+
+    def test_r5_no_duplicate_edges(self, graph_case):
+        space, graph = graph_case
+        pairs = [tuple(pair) for pair in _rows(graph, "R5")[:, [0, 2]].tolist()]
+        assert len(pairs) == len(set(pairs))
+        hps = {hp for label in space.method_labels for hp in METHOD_HPS[label]}
+        assert set(pairs) == {
+            (graph.entity_index[hp], graph.entity_index[f"{hp}={value}"])
+            for hp in hps for value in HP_GRID[hp]
+        }
 
     def test_triplets_reference_valid_ids(self, small_graph):
         t = small_graph.triplets
@@ -75,22 +117,37 @@ class TestKnowledgeGraph:
         assert t[:, 2].max() < small_graph.num_entities
         assert t[:, 1].max() < len(RELATIONS)
 
-    def test_graph_is_connected_via_methods(self, small_graph):
-        undirected = small_graph.graph.to_undirected()
-        assert nx.number_connected_components(undirected) == 1
+    def test_graph_is_connected_via_methods(self, graph_case):
+        _, graph = graph_case
+        parent = list(range(graph.num_entities))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for head, _, tail in graph.triplets.tolist():
+            parent[find(head)] = find(tail)
+        assert len({find(x) for x in range(graph.num_entities)}) == 1
 
     def test_import_repro_leaves_networkx_unloaded(self):
-        """networkx loads only when a graph is built, not with the package."""
+        """Neither networkx nor scipy loads with the package or with
+        Algorithm 1: G is arrays, and nothing else needs them."""
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, repro; print('networkx' in sys.modules)"],
+             "import sys, repro\n"
+             "from repro.knowledge import learn_embeddings\n"
+             "from repro.space import StrategySpace\n"
+             "learn_embeddings(StrategySpace(method_labels=['C3']))\n"
+             "print(sorted({'networkx', 'scipy'} & set(sys.modules)))"],
             capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"
 
 
 class TestTransR:
@@ -188,6 +245,84 @@ class ReferenceTransR(TransR):
         self.projections -= lr * proj_grad / rel_scale[:, None, None]
 
 
+class GatheredTransR(TransR):
+    """TransR as it was before the relation-grouped projections: each batch
+    gathers ``projections[rels]``, an (n, k, d) copy, and the step takes
+    ``w[active]`` of it for the entity gradients."""
+
+    def _gathered_residuals(self, w, heads, rels, tails):
+        h = np.einsum("nkd,nd->nk", w, self.entities[heads])
+        t = np.einsum("nkd,nd->nk", w, self.entities[tails])
+        return h + self.relations[rels] - t
+
+    def score(self, heads, rels, tails):
+        diff = self._gathered_residuals(self.projections[rels], heads, rels, tails)
+        return (diff ** 2).sum(axis=1)
+
+    def train_epoch(self, triplets):
+        cfg = self.config
+        rng = self._rng
+        order = rng.permutation(len(triplets))
+        total_loss = 0.0
+        n_entities = len(self.entities)
+        for start in range(0, len(order), cfg.batch_size):
+            batch = triplets[order[start : start + cfg.batch_size]]
+            heads, rels, tails = batch[:, 0], batch[:, 1], batch[:, 2]
+            corrupt_head = rng.random(len(batch)) < 0.5
+            random_entities = rng.integers(0, n_entities, size=len(batch))
+            neg_heads = np.where(corrupt_head, random_entities, heads)
+            neg_tails = np.where(corrupt_head, tails, random_entities)
+            w = self.projections[rels]
+            u_pos = self._gathered_residuals(w, heads, rels, tails)
+            u_neg = self._gathered_residuals(w, neg_heads, rels, neg_tails)
+            violation = cfg.margin + (u_pos ** 2).sum(axis=1) - (u_neg ** 2).sum(axis=1)
+            active = violation > 0
+            total_loss += float(violation[active].sum())
+            if not active.any():
+                continue
+            self._gathered_step(
+                w[active], rels[active],
+                heads[active], tails[active], u_pos[active],
+                neg_heads[active], neg_tails[active], u_neg[active],
+            )
+        self._normalize()
+        self.loss_history.append(total_loss / max(len(triplets), 1))
+        return self.loss_history[-1]
+
+    def _gathered_step(self, w, rels, heads, tails, u_pos, neg_heads, neg_tails, u_neg):
+        lr = self.config.learning_rate
+        n_entities, n_relations = len(self.entities), len(self.relations)
+        grad_pos = 2.0 * np.einsum("nkd,nk->nd", w, u_pos)
+        grad_neg = 2.0 * np.einsum("nkd,nk->nd", w, u_neg)
+        ent_idx = np.concatenate([heads, tails, neg_heads, neg_tails])
+        ent_grad = ordered_row_sum(
+            ent_idx, np.concatenate([grad_pos, -grad_pos, -grad_neg, grad_neg]), n_entities
+        )
+        ent_count = np.bincount(ent_idx, minlength=n_entities)
+        rel_idx = np.concatenate([rels, rels])
+        rel_grad = ordered_row_sum(
+            rel_idx, np.concatenate([2.0 * u_pos, -(2.0 * u_neg)]), n_relations
+        )
+        rel_count = np.bincount(rel_idx, minlength=n_relations)
+        diff_pos = self.entities[heads] - self.entities[tails]
+        diff_neg = self.entities[neg_heads] - self.entities[neg_tails]
+        proj_grad = np.zeros_like(self.projections)
+        for r in np.unique(rels):
+            rows = np.flatnonzero(rels == r)
+            outer = 2.0 * np.einsum(
+                "nk,nd->nkd",
+                np.concatenate([u_pos[rows], u_neg[rows]]),
+                np.concatenate([diff_pos[rows], diff_neg[rows]]),
+            )
+            outer[len(rows):] *= -1.0
+            proj_grad[r] = _ordered_total(outer)
+        ent_scale = np.maximum(ent_count, 1.0)[:, None]
+        rel_scale = np.maximum(rel_count, 1.0)
+        self.entities -= lr * ent_grad / ent_scale
+        self.relations -= lr * rel_grad / rel_scale[:, None]
+        self.projections -= lr * proj_grad / rel_scale[:, None, None]
+
+
 class ReferenceTransE(TransE):
     """TransE with its gradients scattered by six ``np.add.at`` calls."""
 
@@ -275,6 +410,72 @@ class TestOrderedAccumulation:
         assert model.fit(graph, epochs) == reference.fit(graph, epochs)
         for name in ("entities", "relations"):
             assert getattr(model, name).tobytes() == getattr(reference, name).tobytes(), name
+
+
+@st.composite
+def _knowledge_triplets(draw):
+    """Triplets of G over one to three methods: all of them, or a sample of
+    up to 300 rows from a drawn subset of the relations."""
+    labels = draw(st.lists(st.sampled_from(sorted(METHOD_HPS)), min_size=1,
+                           max_size=3, unique=True))
+    graph = build_knowledge_graph(StrategySpace(method_labels=sorted(labels)))
+    triplets = graph.triplets
+    if draw(st.booleans()):
+        kept = draw(st.sets(st.integers(0, len(RELATIONS) - 1), min_size=1))
+        triplets = triplets[np.isin(triplets[:, 1], sorted(kept))]
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        count = draw(st.integers(1, min(300, len(triplets))))
+        triplets = triplets[np.sort(rng.choice(len(triplets), count, replace=False))]
+    return graph.num_entities, graph.num_relations, triplets
+
+
+class TestRelationGroupedProjections:
+    """TransR's relation-grouped ``W_r`` einsums equal the former gathered
+    ``projections[rels]`` trainer byte for byte: entity, relation and
+    projection tables, loss histories and scores."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        case=_knowledge_triplets(),
+        seed=st.integers(0, 2**16),
+        dim=st.sampled_from([1, 2, 3, 8, 32]),
+        batch_size=st.one_of(st.integers(1, 40), st.sampled_from([512, 10**6])),
+        margin=st.sampled_from([-1e3, 0.0, 1.0, 4.0]),
+        epochs=st.integers(1, 2),
+    )
+    def test_matches_gathered_trainer(self, case, seed, dim, batch_size, margin, epochs):
+        entities, relations, triplets = case
+        config = TransRConfig(entity_dim=dim, relation_dim=dim, margin=margin,
+                              batch_size=batch_size, seed=seed)
+        model = TransR(entities, relations, config)
+        reference = GatheredTransR(entities, relations, config)
+        assert model.fit(triplets, epochs) == reference.fit(triplets, epochs)
+        for name in ("entities", "relations", "projections"):
+            assert getattr(model, name).tobytes() == getattr(reference, name).tobytes(), name
+        rng = np.random.default_rng(seed)
+        corrupted = rng.integers(0, entities, size=len(triplets))
+        for heads, tails in ((triplets[:, 0], triplets[:, 2]), (triplets[:, 0], corrupted)):
+            got = model.score(heads, triplets[:, 1], tails)
+            assert got.tobytes() == reference.score(heads, triplets[:, 1], tails).tobytes()
+
+    @pytest.mark.parametrize("labels, batch_size, margin", [
+        (["C3", "C4"], 512, 1.0),      # production batches over a whole graph
+        (["C3"], 1, 1.0),              # one triplet, hence one relation, per batch
+        (["C8"], 10**6, 1.0),          # one batch larger than the graph
+        (["C3", "C4"], 512, -1e3),     # no triplet ever violates the margin
+        (["C2", "C5", "C8"], 512, 4.0),
+    ])
+    def test_whole_graphs(self, labels, batch_size, margin):
+        graph = build_knowledge_graph(StrategySpace(method_labels=labels))
+        config = TransRConfig(margin=margin, batch_size=batch_size, seed=7)
+        model = TransR(graph.num_entities, graph.num_relations, config)
+        reference = GatheredTransR(graph.num_entities, graph.num_relations, config)
+        assert model.fit(graph.triplets, 2) == reference.fit(graph.triplets, 2)
+        for name in ("entities", "relations", "projections"):
+            assert getattr(model, name).tobytes() == getattr(reference, name).tobytes(), name
+        t = graph.triplets
+        assert (model.score(t[:, 0], t[:, 1], t[:, 2]).tobytes()
+                == reference.score(t[:, 0], t[:, 1], t[:, 2]).tobytes())
 
 
 class TestExperience:

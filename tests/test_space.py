@@ -73,6 +73,17 @@ class TestStrategy:
         assert len(legr_only) == grid_size("C2")
         assert all(s.method_label == "C2" for s in legr_only)
 
+    def test_identifiers_and_grid_positions_match_strategies(self):
+        extended = StrategySpace(include_quantization=True)
+        assert extended.identifiers == [s.identifier for s in extended]
+        for label in extended.method_labels:
+            indices, positions = extended.grid_positions(label)
+            assert indices.tolist() == [s.index for s in extended.of_method(label)]
+            for index, row in zip(indices.tolist(), positions.tolist()):
+                assert extended[index].hp_items == tuple(
+                    (name, HP_GRID[name][p]) for name, p in zip(METHOD_HPS[label], row)
+                )
+
     def test_quantization_extension_opt_in(self):
         extended = StrategySpace(include_quantization=True)
         assert len(extended) == 4230 + grid_size("C7") + grid_size("C8")
