@@ -39,76 +39,87 @@ def small_graph(small_space):
     return build_knowledge_graph(small_space)
 
 
-@pytest.fixture(scope="module", params=["C3+C4", "with-quantization"])
-def graph_case(request, small_space, small_graph):
-    """The small graph, and the graph over all eight methods (C7/C8 share
-    HP1 with the paper's methods and add HP17..HP20)."""
-    if request.param == "C3+C4":
-        return small_space, small_graph
+@pytest.fixture(scope="module")
+def graph_cases(small_space, small_graph):
+    """(space, graph) for the small graph and for the graph over all eight
+    methods (C7/C8 share HP1 with the paper's methods and add HP17..HP20)."""
     space = StrategySpace(include_quantization=True)
-    return space, build_knowledge_graph(space)
+    return [(small_space, small_graph), (space, build_knowledge_graph(space))]
 
 
 def _rows(graph, relation):
     return graph.triplets[graph.triplets[:, 1] == graph.relation_index[relation]]
 
 
+def _component_count(num_entities, triplets):
+    """Connected components of the undirected graph, by union-find."""
+    parent = list(range(num_entities))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for head, _, tail in triplets.tolist():
+        parent[find(head)] = find(tail)
+    return len({find(x) for x in range(num_entities)})
+
+
 class TestKnowledgeGraph:
-    def test_entity_types_complete(self, small_graph):
-        for entity_type in ENTITY_TYPES:
-            assert small_graph.entities_of_type(entity_type), entity_type
+    def test_entity_types_complete(self, graph_cases):
+        for _, graph in graph_cases:
+            for entity_type in ENTITY_TYPES:
+                assert graph.entities_of_type(entity_type), entity_type
 
-    def test_strategy_entities_cover_space(self, small_space, small_graph):
-        assert len(small_graph.entities_of_type("strategy")) == len(small_space)
-        for strategy in small_space:
-            assert strategy.identifier in small_graph.strategy_entities
+    def test_strategy_entities_cover_space(self, graph_cases):
+        """One strategy entity per strategy, in the space's index order."""
+        for space, graph in graph_cases:
+            identifiers = [s.identifier for s in space]
+            assert graph.entities_of_type("strategy") == identifiers
+            assert list(graph.strategy_entities) == identifiers
 
-    def test_strategy_entities_follow_space_order(self, graph_case):
-        space, graph = graph_case
-        assert graph.entities_of_type("strategy") == [s.identifier for s in space]
-        assert list(graph.strategy_entities) == [s.identifier for s in space]
+    def test_relations_join_their_entity_types(self, graph_cases):
+        for _, graph in graph_cases:
+            expected = {"R1": ("strategy", "method"), "R2": ("strategy", "setting"),
+                        "R3": ("method", "hyperparameter"), "R4": ("method", "technique"),
+                        "R5": ("hyperparameter", "setting")}
+            for relation, (head_type, tail_type) in expected.items():
+                rows = graph.triplets[graph.triplets[:, 1] == graph.relation_index[relation]]
+                assert len(rows), relation
+                assert {ENTITY_TYPES[c] for c in graph.entity_types[rows[:, 0]]} == {head_type}
+                assert {ENTITY_TYPES[c] for c in graph.entity_types[rows[:, 2]]} == {tail_type}
 
-    def test_relations_join_their_entity_types(self, graph_case):
-        _, graph = graph_case
-        expected = {"R1": ("strategy", "method"), "R2": ("strategy", "setting"),
-                    "R3": ("method", "hyperparameter"), "R4": ("method", "technique"),
-                    "R5": ("hyperparameter", "setting")}
-        for relation, (head_type, tail_type) in expected.items():
-            rows = graph.triplets[graph.triplets[:, 1] == graph.relation_index[relation]]
-            assert len(rows), relation
-            assert {ENTITY_TYPES[c] for c in graph.entity_types[rows[:, 0]]} == {head_type}
-            assert {ENTITY_TYPES[c] for c in graph.entity_types[rows[:, 2]]} == {tail_type}
+    def test_r1_every_strategy_links_to_its_method(self, graph_cases):
+        for space, graph in graph_cases:
+            rows = _rows(graph, "R1")
+            heads = [graph.strategy_entities[s.identifier] for s in space]
+            assert sorted(rows[:, 0].tolist()) == heads  # one R1 row per strategy
+            method_of = dict(zip(rows[:, 0].tolist(), rows[:, 2].tolist()))
+            for strategy, head in zip(space, heads):
+                assert method_of[head] == graph.entity_index[strategy.method_label]
 
-    def test_r1_every_strategy_links_to_its_method(self, graph_case):
-        space, graph = graph_case
-        rows = _rows(graph, "R1")
-        heads = [graph.strategy_entities[s.identifier] for s in space]
-        assert sorted(rows[:, 0].tolist()) == heads  # one R1 row per strategy
-        method_of = dict(zip(rows[:, 0].tolist(), rows[:, 2].tolist()))
-        for strategy, head in zip(space, heads):
-            assert method_of[head] == graph.entity_index[strategy.method_label]
+    def test_r2_settings_per_strategy(self, graph_cases):
+        for space, graph in graph_cases:
+            rows = _rows(graph, "R2")
+            settings = {}
+            for head, tail in rows[:, [0, 2]].tolist():
+                settings.setdefault(head, []).append(tail)
+            assert len(settings) == len(space)
+            for strategy in space:
+                assert settings[graph.strategy_entities[strategy.identifier]] == [
+                    graph.entity_index[f"{hp}={value}"] for hp, value in strategy.hp_items
+                ]
 
-    def test_r2_settings_per_strategy(self, graph_case):
-        space, graph = graph_case
-        rows = _rows(graph, "R2")
-        settings = {}
-        for head, tail in rows[:, [0, 2]].tolist():
-            settings.setdefault(head, []).append(tail)
-        assert len(settings) == len(space)
-        for strategy in space:
-            assert settings[graph.strategy_entities[strategy.identifier]] == [
-                graph.entity_index[f"{hp}={value}"] for hp, value in strategy.hp_items
-            ]
-
-    def test_r5_no_duplicate_edges(self, graph_case):
-        space, graph = graph_case
-        pairs = [tuple(pair) for pair in _rows(graph, "R5")[:, [0, 2]].tolist()]
-        assert len(pairs) == len(set(pairs))
-        hps = {hp for label in space.method_labels for hp in METHOD_HPS[label]}
-        assert set(pairs) == {
-            (graph.entity_index[hp], graph.entity_index[f"{hp}={value}"])
-            for hp in hps for value in HP_GRID[hp]
-        }
+    def test_r5_no_duplicate_edges(self, graph_cases):
+        for space, graph in graph_cases:
+            pairs = [tuple(pair) for pair in _rows(graph, "R5")[:, [0, 2]].tolist()]
+            assert len(pairs) == len(set(pairs))
+            hps = {hp for label in space.method_labels for hp in METHOD_HPS[label]}
+            assert set(pairs) == {
+                (graph.entity_index[hp], graph.entity_index[f"{hp}={value}"])
+                for hp in hps for value in HP_GRID[hp]
+            }
 
     def test_triplets_reference_valid_ids(self, small_graph):
         t = small_graph.triplets
@@ -117,19 +128,9 @@ class TestKnowledgeGraph:
         assert t[:, 2].max() < small_graph.num_entities
         assert t[:, 1].max() < len(RELATIONS)
 
-    def test_graph_is_connected_via_methods(self, graph_case):
-        _, graph = graph_case
-        parent = list(range(graph.num_entities))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for head, _, tail in graph.triplets.tolist():
-            parent[find(head)] = find(tail)
-        assert len({find(x) for x in range(graph.num_entities)}) == 1
+    def test_graph_is_connected_via_methods(self, graph_cases):
+        for _, graph in graph_cases:
+            assert _component_count(graph.num_entities, graph.triplets) == 1
 
     def test_import_repro_leaves_networkx_unloaded(self):
         """Neither networkx nor scipy loads with the package or with
