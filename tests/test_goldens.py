@@ -19,6 +19,9 @@ space, default :class:`~repro.core.progressive.ProgressiveConfig`) is pinned
 to ``tests/goldens/progressive_search.json``: the ordered evaluated schemes
 and the final front's params/FLOPs/accuracy.
 
+The ten §4.5 ablation searches of Figure 5 (five variants on each
+experiment) are pinned to ``tests/goldens/figure5.json``.
+
 To intentionally re-baseline after a behaviour-changing PR::
 
     pytest tests/test_goldens.py --update-goldens
@@ -472,3 +475,68 @@ def test_knowledge_graph_matches_goldens(capsys, update_goldens):
 
     golden = json.loads(GRAPH_GOLDEN_PATH.read_text())
     assert measured == golden
+
+
+# --------------------------------------------------------------------------- #
+# Figure 5 golden: the §4.5 ablation searches on both experiments
+# --------------------------------------------------------------------------- #
+FIGURE5_GOLDEN_PATH = Path(__file__).parent / "goldens" / "figure5.json"
+
+#: a seconds-range config; its embedding epochs (3 TransR, 30 NN_exp per
+#: round) are the ``EmbeddingConfig`` defaults
+FIGURE5_CONFIG = dict(
+    budget_hours=0.6,
+    embedding_rounds=1,
+    transr_epochs_per_round=3,
+    nn_exp_epochs_per_round=30,
+    sample_size=2,
+    evals_per_round=2,
+    candidate_subsample=48,
+    seed=0,
+)
+
+
+def _figure5_outcome() -> dict:
+    from repro.experiments import ExperimentConfig, run_figure5
+
+    figure = run_figure5(ExperimentConfig(**FIGURE5_CONFIG))
+    measured = {}
+    for series in figure.series:
+        search = figure.searches[series.experiment][series.variant]
+        measured.setdefault(series.experiment, {})[series.variant] = {
+            "evaluated": [r.scheme.identifier for r in search.all_results],
+            "total_cost": search.total_cost,
+            "evaluations": search.evaluations,
+            "best_accuracy": series.best_accuracy,
+            "hypervolume": series.hypervolume,
+            "front": [
+                {
+                    "scheme": r.scheme.identifier,
+                    "params": int(r.params),
+                    "flops": int(r.flops),
+                    "accuracy": r.accuracy,
+                }
+                for r in search.front
+            ],
+        }
+    return measured
+
+
+def test_figure5_matches_goldens(update_goldens):
+    """Every (experiment, variant) search of the §4.5 ablation study: the
+    evaluated schemes in order, the charged cost, the evaluation count, the
+    final best accuracy and hypervolume, and the front.  Any change in how a
+    variant's search is assembled (embeddings, experience, space, solver)
+    shows up here."""
+    measured = _figure5_outcome()
+    if update_goldens:
+        FIGURE5_GOLDEN_PATH.write_text(json.dumps(measured, indent=2, sort_keys=True) + "\n")
+        pytest.skip("figure5 goldens regenerated; review the diff")
+
+    golden = json.loads(FIGURE5_GOLDEN_PATH.read_text())
+    assert sorted(golden) == ["Exp1", "Exp2"]
+    for exp_name, variants in golden.items():
+        assert len(variants) == 5, exp_name
+        for variant, outcome in variants.items():
+            assert outcome["front"], f"{exp_name}/{variant}: empty golden front"
+    _assert_same(measured, golden, "figure5")
