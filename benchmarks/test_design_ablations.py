@@ -13,14 +13,11 @@ good as each ablated one on best feasible accuracy, and the feasible-band
 variants keep the ~40 block populated.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.core.progressive import ProgressiveConfig
-from repro.core.solver import make_solver
-from repro.experiments.common import EXPERIMENTS, make_evaluator, pick_block
-from repro.knowledge.embedding import EmbeddingConfig, learn_embeddings
-from repro.knowledge.experience import default_experience
-from repro.space import StrategySpace
+from repro.experiments.common import pick_block, run_algorithm
 
 from .conftest import write_report
 
@@ -29,42 +26,20 @@ _BUDGET = 15.0  # half the main-bench budget: 4 extra searches
 
 @pytest.fixture(scope="module")
 def design_runs(config):
-    space = StrategySpace()
-    embeddings = learn_embeddings(
-        space,
-        config=EmbeddingConfig(rounds=config.embedding_rounds, seed=config.seed),
-    )
-    model_name, dataset_name, task = EXPERIMENTS["Exp1"]
-
+    reduced = replace(config, budget_hours=_BUDGET)
+    progressive = reduced.progressive_config()
+    # Solver options: AutoMC fills in ``config`` and ``experience`` only
+    # where these leave them out.
     variants = {
-        "full": dict(),
-        "no-warmstart": dict(experience=None),
-        "no-stratified": dict(stratified_sampling=False),
-        "no-feasible": dict(feasible_bias=False),
+        "full": None,
+        "no-warmstart": {"experience": None},
+        "no-stratified": {"config": replace(progressive, stratified_sampling=False)},
+        "no-feasible": {"config": replace(progressive, feasible_bias=False)},
     }
-    runs = {}
-    for name, overrides in variants.items():
-        progressive = ProgressiveConfig(
-            sample_size=config.sample_size,
-            evals_per_round=config.evals_per_round,
-            candidate_subsample=config.candidate_subsample,
-            stratified_sampling=overrides.get("stratified_sampling", True),
-            feasible_bias=overrides.get("feasible_bias", True),
-        )
-        experience = overrides.get("experience", default_experience())
-        searcher = make_solver(
-            "progressive",
-            make_evaluator(model_name, dataset_name, task, seed=config.seed),
-            space,
-            embeddings=embeddings,
-            gamma=0.3,
-            budget_hours=_BUDGET,
-            config=progressive,
-            experience=experience,
-            seed=config.seed,
-        )
-        runs[name] = searcher.run()
-    return runs
+    return {
+        name: run_algorithm("progressive", "Exp1", reduced, solver_kwargs=solver_kwargs)
+        for name, solver_kwargs in variants.items()
+    }
 
 
 def _best_feasible(run):

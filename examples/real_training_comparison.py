@@ -10,13 +10,12 @@ Run:  python examples/real_training_comparison.py        (~5-10 minutes)
 """
 
 
+from repro.core.api import AutoMC
 from repro.core.config import EvaluatorConfig
 from repro.core.evaluator import TrainingEvaluator
 from repro.core.progressive import ProgressiveConfig
-from repro.core.solver import make_solver
 from repro.data import tiny_dataset
 from repro.knowledge.embedding import EmbeddingConfig, learn_embeddings
-from repro.knowledge.experience import default_experience
 from repro.models import resnet8
 from repro.space import StrategySpace
 
@@ -43,34 +42,29 @@ def main() -> None:
                                nn_exp_epochs_per_round=10),
     )
 
-    rows = []
     progressive_config = ProgressiveConfig(
         sample_size=3, evals_per_round=3, candidate_subsample=len(space)
     )
-    searchers = {
-        "AutoMC": lambda ev: make_solver(
-            "progressive", ev, space, embeddings=embeddings, gamma=GAMMA,
-            budget_hours=BUDGET, config=progressive_config,
-            experience=default_experience(), seed=0,
-        ),
-        "Evolution": lambda ev: make_solver(
-            "evolution", ev, space, gamma=GAMMA, budget_hours=BUDGET,
-            population_size=6, offspring_per_generation=4, seed=0,
-        ),
-        "RL": lambda ev: make_solver("rl", ev, space, gamma=GAMMA, budget_hours=BUDGET, seed=0),
-        "Random": lambda ev: make_solver(
-            "random", ev, space, gamma=GAMMA, budget_hours=BUDGET, seed=0
-        ),
+    # solver registry name -> its per-solver options
+    solvers = {
+        "progressive": {},
+        "evolution": dict(population_size=6, offspring_per_generation=4),
+        "rl": {},
+        "random": {},
     }
 
-    for name, build in searchers.items():
+    rows = []
+    for solver, solver_kwargs in solvers.items():
         evaluator = make_evaluator(train, val)
-        print(f"running {name} "
+        print(f"running {solver} "
               f"(baseline acc {evaluator.base_accuracy:.3f}, "
               f"{evaluator.base_params} params)...")
-        result = build(evaluator).run()
-        best = result.best
-        rows.append((name, result.evaluations, best))
+        result = AutoMC(
+            evaluator, space=space, embeddings=embeddings, gamma=GAMMA,
+            budget_hours=BUDGET, progressive_config=progressive_config,
+            solver=solver, solver_kwargs=solver_kwargs, seed=0,
+        ).search()
+        rows.append((result.algorithm, result.evaluations, result.best))
 
     print()
     print(f"{'algorithm':<11s}{'evals':>6s}{'PR%':>8s}{'FR%':>8s}{'acc':>7s}")

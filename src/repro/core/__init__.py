@@ -1,6 +1,5 @@
 """AutoMC core: evaluators, engine, F_mo, progressive search, Pareto tools."""
 
-from .ablation import VARIANTS, build_variant
 from .api import AutoMC
 from .config import EvaluatorConfig
 from .engine import (
@@ -61,9 +60,7 @@ __all__ = [
     "SurrogateEvaluator",
     "TrainingEvaluator",
     "TrajectoryPoint",
-    "VARIANTS",
     "WorkerError",
-    "build_variant",
     "cache_stats",
     "crowding_distance",
     "get_solver",

@@ -68,9 +68,8 @@ class AutoMC:
     ``AutoMC`` is where an evaluator, a space and a solver name become a
     running search: the experiment harnesses
     (:func:`repro.experiments.common.run_algorithm`) and the serve
-    scheduler both go through it.  The §4.5 ablation variants are the
-    exception: :func:`repro.core.ablation.build_variant` still learns their
-    embeddings and builds their solvers itself.  Behind an engine,
+    scheduler both go through it, and so do the §4.5 ablation variants
+    (:mod:`repro.experiments.figure5`).  Behind an engine,
     :meth:`search` fills ``result.engine_stats`` with the engine's counters.
 
     ``trace`` turns on the :mod:`repro.obs` observability layer: pass

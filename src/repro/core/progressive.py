@@ -15,9 +15,10 @@ the Pareto-optimal schemes whose parameter reduction meets the target γ.
 
 :class:`ProgressiveSolver` implements the algorithm on the shared
 :class:`~repro.core.solver.Solver` round loop (registered as
-``"progressive"``); build it with ``make_solver("progressive", ...)`` or
-run it through :class:`~repro.core.api.AutoMC`, which also learns the
-embeddings and loads the experience base.
+``"progressive"``).  It needs learned strategy embeddings: run it through
+:class:`~repro.core.api.AutoMC`, which learns them (Algorithm 1) and loads
+the experience base, or pass them as ``embeddings`` when building it with
+:func:`~repro.core.solver.make_solver`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ..knowledge.embedding import EmbeddingConfig, StrategyEmbeddings, learn_embeddings
+from ..knowledge.embedding import StrategyEmbeddings
 from ..space.scheme import CompressionScheme
 from .evaluator import EvaluationResult
 from .fmo import Fmo
@@ -69,16 +70,12 @@ class ProgressiveSolver(Solver):
     def __init__(
         self,
         strategy: SearchStrategy,
-        embeddings: Optional[StrategyEmbeddings] = None,
+        embeddings: StrategyEmbeddings,
         config: Optional[ProgressiveConfig] = None,
         experience=None,
     ):
         super().__init__(strategy)
         self.config = config or ProgressiveConfig()
-        if embeddings is None:
-            embeddings = learn_embeddings(
-                strategy.space, config=EmbeddingConfig(seed=strategy.seed)
-            )
         self.embeddings = embeddings
         self.fmo = Fmo(embeddings, max_length=strategy.max_length, seed=strategy.seed)
         if experience:

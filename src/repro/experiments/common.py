@@ -123,11 +123,16 @@ def run_algorithm(
     exp_name: str,
     config: ExperimentConfig,
     space: Optional[StrategySpace] = None,
+    embedding_config: Optional[EmbeddingConfig] = None,
+    solver_kwargs: Optional[dict] = None,
 ) -> SearchResult:
     """Run one solver on Exp1/Exp2 under the shared budget, through :class:`AutoMC`.
 
     ``name`` is a solver registry name (``progressive``, ``random``,
     ``evolution``, ``grid``, ``rl``, ``sa``, ``regevo``, ``amc``).
+    ``space``, ``embedding_config`` (default ``config.embedding_config()``)
+    and ``solver_kwargs`` pass through to :class:`AutoMC`; the §4.5
+    ablation variants of :mod:`repro.experiments.figure5` are built from them.
 
     With ``config.workers`` / ``config.cache_dir`` set, the evaluator is
     wrapped in an :class:`~repro.core.engine.EvaluationEngine` — candidate
@@ -158,9 +163,10 @@ def run_algorithm(
         gamma=0.3,
         budget_hours=config.budget_hours,
         max_length=5,
-        embedding_config=config.embedding_config(),
+        embedding_config=embedding_config or config.embedding_config(),
         progressive_config=config.progressive_config(),
         solver=name,
+        solver_kwargs=solver_kwargs,
         seed=config.seed,
         parallelism=config.workers,
         cache_dir=config.cache_dir,

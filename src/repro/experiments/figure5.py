@@ -1,19 +1,61 @@
 """Figure 5 reproduction — ablation study (§4.5).
 
-Runs AutoMC and its four variants (AutoMC-KG, AutoMC-NNexp,
-AutoMC-MultipleSource, AutoMC-ProgressiveSearch) on Exp1 and Exp2 under the
-shared budget and reports each variant's trajectory and final Pareto front.
+Runs AutoMC and its four variants on Exp1 and Exp2 under the shared budget
+and reports each variant's trajectory and final Pareto front.  Each variant
+is an :class:`~repro.core.api.AutoMC` configuration that differs from the
+full algorithm in one component:
+
+========================  ====================================================
+AutoMC                    the full algorithm
+AutoMC-KG                 no knowledge-graph embedding (random init + NN_exp)
+AutoMC-NNexp              no experience: neither NN_exp nor the F_mo warm start
+AutoMC-MultipleSource     search space restricted to LeGR (C2) strategies
+AutoMC-ProgressiveSearch  RL controller instead of the progressive strategy
+========================  ====================================================
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from ..core.ablation import VARIANTS, build_variant
 from ..core.search import SearchResult
-from .common import EXPERIMENTS, ExperimentConfig, make_evaluator
+from ..space.strategy import StrategySpace
+from .common import EXPERIMENTS, ExperimentConfig, run_algorithm
 from .plotting import ascii_scatter
+
+#: variant -> how it differs from the full algorithm: the solver, the methods
+#: of its space, ``EmbeddingConfig`` overrides and solver options.  ``AutoMC``
+#: only sets the F_mo warm start's experience when it is not given, so
+#: ``experience=None`` switches the warm start off.
+VARIANT_TABLE: Dict[str, dict] = {
+    "AutoMC": {},
+    "AutoMC-KG": {"embedding": {"use_kg": False}},
+    "AutoMC-NNexp": {
+        "embedding": {"use_experience": False},
+        "solver_kwargs": {"experience": None},
+    },
+    "AutoMC-MultipleSource": {"methods": ["C2"]},
+    "AutoMC-ProgressiveSearch": {"solver": "rl"},
+}
+
+VARIANTS = tuple(VARIANT_TABLE)
+
+
+def run_variant(variant: str, exp_name: str, config: ExperimentConfig) -> SearchResult:
+    """One §4.5 variant's search on Exp1/Exp2, through :func:`run_algorithm`."""
+    if variant not in VARIANT_TABLE:
+        raise KeyError(f"unknown variant {variant!r}; choose from {VARIANTS}")
+    row = VARIANT_TABLE[variant]
+    methods = row.get("methods")
+    return run_algorithm(
+        row.get("solver", "progressive"),
+        exp_name,
+        config,
+        space=StrategySpace(method_labels=methods) if methods else None,
+        embedding_config=replace(config.embedding_config(), **row.get("embedding", {})),
+        solver_kwargs=row.get("solver_kwargs"),
+    )
 
 
 @dataclass
@@ -61,20 +103,10 @@ def run_figure5(config: Optional[ExperimentConfig] = None) -> Figure5Result:
     """Regenerate Figure 5's data (5 variants x 2 experiments)."""
     config = config or ExperimentConfig()
     figure = Figure5Result()
-    for exp_name, (model_name, dataset_name, task) in EXPERIMENTS.items():
+    for exp_name in EXPERIMENTS:
         figure.searches[exp_name] = {}
         for variant in VARIANTS:
-            evaluator = make_evaluator(model_name, dataset_name, task, seed=config.seed)
-            searcher = build_variant(
-                variant,
-                evaluator,
-                gamma=0.3,
-                budget_hours=config.budget_hours,
-                seed=config.seed,
-                embedding_rounds=config.embedding_rounds,
-                progressive_config=config.progressive_config(),
-            )
-            search = searcher.run()
+            search = run_variant(variant, exp_name, config)
             figure.searches[exp_name][variant] = search
             last = search.trajectory[-1] if search.trajectory else None
             figure.series.append(

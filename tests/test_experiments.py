@@ -10,11 +10,15 @@ from repro.experiments import (
     EXPERIMENTS,
     ExperimentConfig,
     run_figure4,
+    run_figure5,
     run_figure6,
     run_table2,
     run_table3,
 )
+from repro.experiments.common import run_algorithm
+from repro.experiments.figure5 import VARIANTS
 from repro.experiments.table2 import AUTOML_ALGORITHMS, HUMAN_NAMES
+from repro.knowledge.embedding import EmbeddingConfig
 
 TINY = ExperimentConfig(
     budget_hours=0.6,
@@ -32,6 +36,24 @@ TINY = ExperimentConfig(
 @pytest.fixture(scope="module")
 def table2():
     return run_table2(TINY)
+
+
+@pytest.fixture(scope="module")
+def figure5():
+    return run_figure5(TINY)
+
+
+def _outcome(search) -> dict:
+    """What a search evaluated, charged and found, exactly."""
+    return {
+        "evaluated": [r.scheme.identifier for r in search.all_results],
+        "total_cost": search.total_cost,
+        "evaluations": search.evaluations,
+        "front": [(r.scheme.identifier, r.params, r.flops, r.accuracy) for r in search.front],
+        "trajectory": [
+            (p.cost, p.evaluations, p.best_accuracy, p.hypervolume) for p in search.trajectory
+        ],
+    }
 
 
 class TestTable2:
@@ -99,19 +121,24 @@ class TestFigures:
         for scheme in fig.schemes:
             assert scheme.result.scheme.length >= 1
 
-    def test_figure5_variants_smoke(self):
-        # Only check the two cheapest variants wire up end to end: a full
-        # 5-variant run is a benchmark, not a unit test.
-        from repro.core.ablation import build_variant
-        from repro.experiments.common import make_evaluator
+    def test_figure5_variants_smoke(self, figure5):
+        for exp in EXPERIMENTS:
+            for variant in VARIANTS:
+                assert figure5.of(exp, variant) is not None
+                search = figure5.searches[exp][variant]
+                assert search.evaluations >= 1
+                # The series carries the variant; the search, its solver's label.
+                expected = "RL" if variant == "AutoMC-ProgressiveSearch" else "AutoMC"
+                assert search.algorithm == expected
+        assert "AutoMC-MultipleSource" in figure5.format()
 
-        model_name, dataset_name, task = EXPERIMENTS["Exp1"]
-        for variant in ("AutoMC-MultipleSource", "AutoMC-ProgressiveSearch"):
-            evaluator = make_evaluator(model_name, dataset_name, task)
-            searcher = build_variant(
-                variant, evaluator, gamma=0.3, budget_hours=0.4,
-                embedding_rounds=1,
-                progressive_config=TINY.progressive_config(),
-            )
-            result = searcher.run()
-            assert result.evaluations >= 1
+    @pytest.mark.parametrize("exp", list(EXPERIMENTS))
+    def test_figure5_automc_is_the_run_algorithm_search(self, figure5, exp):
+        """Figure 5's full AutoMC is the search Table 2 runs, bit for bit,
+        at embedding epochs other than the EmbeddingConfig defaults."""
+        defaults = EmbeddingConfig()
+        assert (TINY.transr_epochs_per_round, TINY.nn_exp_epochs_per_round) != (
+            defaults.transr_epochs_per_round, defaults.nn_exp_epochs_per_round
+        )
+        direct = run_algorithm("progressive", exp, TINY)
+        assert _outcome(figure5.searches[exp]["AutoMC"]) == _outcome(direct)

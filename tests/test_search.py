@@ -7,15 +7,19 @@ mechanics (budget accounting, Pareto outputs, trajectories) quickly.
 import numpy as np
 import pytest
 
-from repro.core import AutoMC, build_variant
+from repro.core import AutoMC
 from repro.core.config import EvaluatorConfig
 from repro.core.evaluator import SurrogateEvaluator
 from repro.core.progressive import ProgressiveConfig
 from repro.core.solver import make_solver
 from repro.data.tasks import EXP1, transfer_task
+from repro.experiments import ExperimentConfig
+from repro.experiments.figure5 import run_variant
 from repro.knowledge.embedding import EmbeddingConfig, StrategyEmbeddings
 from repro.models import resnet20
 from repro.space import StrategySpace
+
+from .test_ablation_builds import CONFIG, variant_solver
 
 BUDGET = 1.5  # simulated hours -> a handful of evaluations
 
@@ -148,23 +152,22 @@ class TestBaselines:
 
 class TestAblationVariants:
     def test_all_variants_buildable(self):
-        for variant in ("AutoMC-MultipleSource", "AutoMC-ProgressiveSearch"):
-            searcher = build_variant(
-                variant, make_evaluator(), gamma=0.2, budget_hours=0.5,
-                embedding_rounds=1,
-            )
-            assert searcher.name == variant
+        for variant, label in (
+            ("AutoMC-MultipleSource", "AutoMC"),
+            ("AutoMC-ProgressiveSearch", "RL"),
+        ):
+            result = run_variant(variant, "Exp1", CONFIG)
+            assert result.algorithm == label
+            assert result.evaluations >= 1
 
     def test_multiple_source_restricts_space(self):
-        searcher = build_variant(
-            "AutoMC-MultipleSource", make_evaluator(), gamma=0.2,
-            budget_hours=0.5, embedding_rounds=1,
-        )
+        searcher = variant_solver("AutoMC-MultipleSource")
         assert set(s.method_label for s in searcher.space) == {"C2"}
+        assert set(s.method_label for s in searcher.fmo.embeddings.space) == {"C2"}
 
     def test_unknown_variant_raises(self):
         with pytest.raises(KeyError):
-            build_variant("AutoMC-Bogus", make_evaluator())
+            run_variant("AutoMC-Bogus", "Exp1", ExperimentConfig())
 
 
 class TestFacade:
