@@ -22,6 +22,10 @@ and the final front's params/FLOPs/accuracy.
 The ten §4.5 ablation searches of Figure 5 (five variants on each
 experiment) are pinned to ``tests/goldens/figure5.json``.
 
+What traced runs write to their journals (every record but its wall-clock
+fields, plus the counters and gauges) is pinned to
+``tests/goldens/trace_journal.json``.
+
 To intentionally re-baseline after a behaviour-changing PR::
 
     pytest tests/test_goldens.py --update-goldens
@@ -540,3 +544,132 @@ def test_figure5_matches_goldens(update_goldens):
         for variant, outcome in variants.items():
             assert outcome["front"], f"{exp_name}/{variant}: empty golden front"
     _assert_same(measured, golden, "figure5")
+
+
+# --------------------------------------------------------------------------- #
+# Trace-journal golden: every span, event and metric the program emits
+# --------------------------------------------------------------------------- #
+TRACE_GOLDEN_PATH = Path(__file__).parent / "goldens" / "trace_journal.json"
+
+#: wall-clock fields of a journal record (span start, duration, meta time)
+_WALL_CLOCK_FIELDS = ("t", "dur", "created")
+
+#: counters whose value depends on what the process did before the run, so
+#: only their being positive is pinned: the first module a process pickles
+#: takes a few more bytes than later ones
+_HISTORY_COUNTERS = ("snapshot.bytes_written",)
+
+
+def _trace_surrogate(**config):
+    from repro.core import EvaluatorConfig, SurrogateEvaluator
+    from repro.data.tasks import EXP1, transfer_task
+    from repro.models import resnet20
+
+    task = transfer_task(EXP1, "resnet20", 0.27, 0.08, EXP1.model_accuracy)
+    return SurrogateEvaluator(
+        lambda: resnet20(num_classes=10), "resnet20", "cifar10", task,
+        config=EvaluatorConfig(seed=0, **config),
+    )
+
+
+def _traced_outcome(path: Path, produce) -> dict:
+    """Run ``produce(tracer)`` under a journaling tracer; return what it wrote.
+
+    Each journal record keeps its type, name, ids, parent, attrs and cost;
+    the counters and gauges of the tracer's metrics ride along.  Wall-clock
+    fields and the ``dur.*`` histograms are left out, and history-dependent
+    counters are reduced to whether they are positive.
+    """
+    from repro.obs import RunJournal, Tracer, read_journal
+
+    tracer = Tracer(journal=RunJournal(path, run={"golden": path.stem}))
+    try:
+        produce(tracer)
+    finally:
+        tracer.close()
+    records = [
+        {key: value for key, value in record.items() if key not in _WALL_CLOCK_FIELDS}
+        for record in read_journal(path)
+    ]
+    snapshot = tracer.metrics.snapshot()
+    counters = {
+        name: value > 0 if name in _HISTORY_COUNTERS else value
+        for name, value in snapshot["counters"].items()
+    }
+    return {"records": records, "counters": counters, "gauges": snapshot["gauges"]}
+
+
+def _trace_outcomes(tmp_path: Path, tiny_train) -> dict:
+    from repro.analysis.costmodel import Budget
+    from repro.analysis.linter import SchemeRejected
+    from repro.core.engine import EvaluationEngine
+    from repro.models import resnet8
+    from repro.nn import Trainer
+    from repro.obs import attach_tracer
+
+    space = StrategySpace()
+    snapshots = str(tmp_path / "snapshots")
+    budget = Budget(max_flops=26_000_000)
+    c3 = space.of_method("C3")
+    over_budget = CompressionScheme((c3[0],))
+
+    def surrogate_search(tracer):
+        # Snapshot store, latency probe and a static FLOPs cap: budget
+        # filtering, snapshot saves and latency spans; then memory hits
+        # through evaluate and evaluate_many and one budget rejection.
+        evaluator = _trace_surrogate(budget=budget, latency_batch=2, snapshot_dir=snapshots)
+        attach_tracer(evaluator, tracer)
+        result = run_solver("random", evaluator, space, gamma=0.3, budget_hours=1.2, seed=0)
+        evaluated = [r.scheme for r in result.all_results]
+        evaluator.evaluate(evaluated[0])
+        evaluator.evaluate_many(evaluated[:2] + evaluated[:1])
+        try:
+            evaluator.evaluate(over_budget)
+        except SchemeRejected:
+            pass
+
+    def snapshot_resume(tracer):
+        # The same search on a fresh evaluator over the same store resumes
+        # its multi-step schemes from disk snapshots.
+        evaluator = _trace_surrogate(budget=budget, latency_batch=2, snapshot_dir=snapshots)
+        attach_tracer(evaluator, tracer)
+        run_solver("random", evaluator, space, gamma=0.3, budget_hours=1.2, seed=0)
+
+    def engine_search(tracer):
+        engine = EvaluationEngine(_trace_surrogate(), workers=2, cache_dir=tmp_path / "cache")
+        with engine:
+            attach_tracer(engine, tracer)
+            run_solver(
+                "evolution", engine, space, gamma=0.3, budget_hours=1.0, seed=0,
+                population_size=4, offspring_per_generation=3,
+            )
+
+    def trainer_fit(tracer):
+        trainer = Trainer(lr=0.05, batch_size=32, seed=0)
+        trainer.tracer = tracer
+        trainer.fit(resnet8(num_classes=4), tiny_train, epochs=1.5)
+
+    return {
+        "surrogate_search": _traced_outcome(tmp_path / "surrogate_search.jsonl", surrogate_search),
+        "snapshot_resume": _traced_outcome(tmp_path / "snapshot_resume.jsonl", snapshot_resume),
+        "engine_cold": _traced_outcome(tmp_path / "engine_cold.jsonl", engine_search),
+        "engine_warm": _traced_outcome(tmp_path / "engine_warm.jsonl", engine_search),
+        "trainer_fit": _traced_outcome(tmp_path / "trainer_fit.jsonl", trainer_fit),
+    }
+
+
+def test_trace_journal_matches_goldens(tmp_path, tiny_data, update_goldens):
+    """What a traced run writes to its journal, record by record: a
+    surrogate search with a snapshot store, the latency probe and a FLOPs
+    cap (plus memory hits and a budget rejection), the same search resumed
+    from the store, a two-worker engine search run twice over one result
+    cache (the second takes disk hits), and a ``Trainer.fit``.  Any change
+    in which spans and events the program emits, their nesting, attrs,
+    costs or metrics shows up here."""
+    measured = _trace_outcomes(tmp_path, tiny_data[0])
+    if update_goldens:
+        TRACE_GOLDEN_PATH.write_text(json.dumps(measured, indent=2, sort_keys=True) + "\n")
+        pytest.skip("trace journal goldens regenerated; review the diff")
+
+    golden = json.loads(TRACE_GOLDEN_PATH.read_text())
+    _assert_same(measured, golden, "trace_journal")

@@ -3,7 +3,7 @@
 Covers the PR's acceptance criteria: registry round-trip over the whole
 zoo, the driver's budget-accounting invariant for every registered solver,
 serial-vs-parallel bit-identity through the EvaluationEngine, and seeded
-determinism pins for the three new solvers (``sa``, ``regevo``, ``amc``).
+determinism pins for ``sa``, ``regevo``, ``amc`` and ``evolution``.
 """
 
 import json
@@ -32,8 +32,8 @@ from repro.space import StrategySpace
 
 ALL_SOLVERS = ["amc", "evolution", "grid", "progressive", "random", "regevo", "rl", "sa"]
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "solver_best.json"
-#: the determinism pin covers this PR's three new solvers
-PINNED_SOLVERS = ["sa", "regevo", "amc"]
+#: solvers whose seeded best scheme is pinned in ``solver_best.json``
+PINNED_SOLVERS = ["sa", "regevo", "amc", "evolution"]
 
 
 def make_evaluator(seed=0):
