@@ -2,7 +2,8 @@
 
 A population of complete schemes evolves under non-dominated sorting with
 crowding-distance selection.  Variation operators: strategy replacement,
-hyperparameter-neighbour mutation, insertion, deletion, and one-point
+hyperparameter-neighbour mutation, insertion, deletion (the shared
+:func:`~repro.baselines.moves.mutate_scheme` move), and one-point
 crossover.  Every offspring evaluation charges the shared simulated budget.
 """
 
@@ -17,6 +18,7 @@ from ..core.pareto import crowding_distance, nondominated_sort
 from ..core.search import SearchStrategy
 from ..core.solver import Solver, register_solver
 from ..space.scheme import CompressionScheme
+from .moves import mutate_scheme
 
 
 @register_solver("evolution", label="Evolution")
@@ -47,26 +49,10 @@ class EvolutionSolver(Solver):
 
     # ------------------------------------------------------------------ #
     def _mutate(self, scheme: CompressionScheme) -> CompressionScheme:
-        strategies = list(scheme.strategies)
-        op = self.rng.random()
-        if op < 0.35 and strategies:  # replace one strategy entirely
-            i = int(self.rng.integers(len(strategies)))
-            strategies[i] = self.space[int(self.rng.integers(len(self.space)))]
-        elif op < 0.65 and strategies:  # nudge one hyperparameter
-            i = int(self.rng.integers(len(strategies)))
-            strategies[i] = self.space.neighbor(strategies[i], self.rng)
-        elif op < 0.85 and len(strategies) < self.max_length:  # insert
-            i = int(self.rng.integers(len(strategies) + 1))
-            strategies.insert(i, self.space[int(self.rng.integers(len(self.space)))])
-        elif len(strategies) > 1:  # delete
-            i = int(self.rng.integers(len(strategies)))
-            del strategies[i]
-        mutated = CompressionScheme(tuple(strategies))
-        if mutated.total_param_step > 0.9 or mutated.is_empty:
-            return scheme
+        mutated = mutate_scheme(scheme, self.space, self.rng, self.max_length)
         # Statically-infeasible children fall back to the parent, exactly
-        # like the nominal-PR guard above — no evaluation cost is charged.
-        if not self.strategy.feasible(mutated):
+        # like the move's nominal-PR guard — no evaluation cost is charged.
+        if mutated is not scheme and not self.strategy.feasible(mutated):
             return scheme
         return mutated
 

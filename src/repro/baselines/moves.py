@@ -1,12 +1,14 @@
-"""Shared scheme-edit neighbourhood for the local-search solvers.
+"""Shared scheme-edit move: the NSGA-II mutation and the local-search step.
 
 One uniformly-chosen edit of a scheme — replace a strategy, nudge one
-hyperparameter to a grid neighbour, insert, or delete — with the same
-operator thresholds as the NSGA-II baseline's mutation so neighbourhood
-sizes are comparable across solvers.  Edits that would empty the scheme or
-push the nominal cumulative PR past ``max_nominal`` return the original
-scheme unchanged (a self-loop in the search graph); static budget
-feasibility is the solver driver's job, not the move's.
+hyperparameter to a grid neighbour, insert, or delete.  The Evolution
+baseline mutates with it and the local-search solvers take it as their
+neighbourhood, so neighbourhood sizes are comparable across solvers.  Edits
+that would empty the scheme or push the nominal cumulative PR past
+``max_nominal`` return the original scheme unchanged (a self-loop in the
+search graph).  Static budget feasibility is the caller's job, not the
+move's: Evolution falls back to the parent, the others leave it to the
+solver driver.
 """
 
 from __future__ import annotations

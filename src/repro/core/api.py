@@ -76,8 +76,8 @@ class AutoMC:
     ``True`` for an in-memory :class:`~repro.obs.Tracer` (inspect
     ``automc.tracer.spans`` / ``.metrics`` afterwards), a path to stream a
     JSONL run journal there (summarise with ``repro trace summarize``), or a
-    ready-made :class:`~repro.obs.Tracer`.  The default traces nothing and
-    costs one attribute check per hot-path operation.
+    ready-made :class:`~repro.obs.Tracer`.  The default traces nothing: it
+    calls a shared no-op tracer.
     """
 
     def __init__(

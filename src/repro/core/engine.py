@@ -56,7 +56,7 @@ from typing import Dict, List, Optional, Sequence
 from ..compression import StepReport
 from ..obs import NULL_TRACER
 from ..space.scheme import CompressionScheme
-from .evaluator import EVAL_OVERHEAD_HOURS, EvaluationResult
+from .evaluator import EvaluationResult
 
 #: default ResultCache size cap (one JSON file per evaluated scheme)
 DEFAULT_CACHE_ENTRIES = 10_000
@@ -767,50 +767,40 @@ class EvaluationEngine:
         identical to a serial run.
         """
         schemes = list(schemes)
+        identifiers = [scheme.identifier for scheme in schemes]
         unique: Dict[str, CompressionScheme] = {}
-        for scheme in schemes:
-            unique.setdefault(scheme.identifier, scheme)
+        for identifier, scheme in zip(identifiers, schemes):
+            unique.setdefault(identifier, scheme)
 
         tracer = self.tracer
-        batch_span = (
-            tracer.start("engine.batch", submitted=len(schemes), unique=len(unique))
-            if tracer.enabled
-            else None
-        )
-        try:
+        with tracer.span(
+            "engine.batch", submitted=len(schemes), unique=len(unique)
+        ) as batch_span:
             evaluator = self.evaluator
+            results = evaluator.results
             fresh: List[CompressionScheme] = []
             memory_hits = disk_hits = 0
-            for scheme in unique.values():
-                if scheme.identifier in evaluator.results:
+            for identifier, scheme in unique.items():
+                if identifier in results:
                     memory_hits += 1
-                    if tracer.enabled:
-                        tracer.event("cache_hit", scheme=scheme.identifier, source="memory")
-                        tracer.metrics.counter("cache_hits.memory").inc()
+                    tracer.event("cache_hit", scheme=identifier, source="memory")
+                    tracer.metrics.counter("cache_hits.memory").inc()
                     continue
                 cached = self.cache.get(scheme) if self.cache else None
                 if cached is not None:
-                    evaluator.results[scheme.identifier] = cached
+                    results[identifier] = cached
                     self.cache_hits += 1
                     disk_hits += 1
-                    foreign = scheme.identifier not in self.cache.written_ids
+                    foreign = identifier not in self.cache.written_ids
+                    tracer.event("cache_hit", scheme=identifier, source="disk", foreign=foreign)
+                    tracer.metrics.counter("cache_hits.disk").inc()
                     if foreign:
                         self.cache_foreign_hits += 1
-                    if tracer.enabled:
-                        tracer.event(
-                            "cache_hit", scheme=scheme.identifier, source="disk",
-                            foreign=foreign,
-                        )
-                        tracer.metrics.counter("cache_hits.disk").inc()
-                        if foreign:
-                            tracer.metrics.counter("cache_hits.foreign").inc()
+                        tracer.metrics.counter("cache_hits.foreign").inc()
                 else:
                     fresh.append(scheme)
 
-            if batch_span is not None:
-                batch_span.set(
-                    memory_hits=memory_hits, disk_hits=disk_hits, fresh=len(fresh)
-                )
+            batch_span.set(memory_hits=memory_hits, disk_hits=disk_hits, fresh=len(fresh))
 
             if evaluator.lint_schemes:
                 for scheme in fresh:
@@ -819,10 +809,7 @@ class EvaluationEngine:
 
             if fresh:
                 self._run_fresh(fresh)
-            return [evaluator.results[scheme.identifier] for scheme in schemes]
-        finally:
-            if batch_span is not None:
-                tracer.finish(batch_span)
+            return [results[identifier] for identifier in identifiers]
 
     # -- dispatch ----------------------------------------------------------
     def _run_fresh(self, fresh: List[CompressionScheme]) -> None:
@@ -839,11 +826,10 @@ class EvaluationEngine:
 
         outcomes = self._dispatch(fresh)
 
-        # Merge in input order with the serial charging formula: overhead +
-        # the step costs beyond the longest prefix already in `results`.
-        # Identical float-addition order to SchemeEvaluator._charge.  The
-        # scheduler only reorders *execution*; merging strictly in input
-        # order keeps charged costs bit-identical to a serial run.
+        # Merge in input order with the serial charging formula
+        # (SchemeEvaluator._charge).  The scheduler only reorders
+        # *execution*; merging strictly in input order keeps charged costs
+        # bit-identical to a serial run.
         tracer = self.tracer
         failures = [
             outcomes[s.identifier]
@@ -852,32 +838,26 @@ class EvaluationEngine:
         ]
         if failures:
             self.worker_failures += len(failures)
-            if tracer.enabled:
-                for failure in failures:
-                    tracer.event(
-                        "worker_failed",
-                        scheme=failure.scheme_id,
-                        error=f"{failure.cause_type}: {failure.cause_message}",
-                    )
-                    tracer.metrics.counter("worker_failures").inc()
+            for failure in failures:
+                tracer.event(
+                    "worker_failed",
+                    scheme=failure.scheme_id,
+                    error=f"{failure.cause_type}: {failure.cause_message}",
+                )
+                tracer.metrics.counter("worker_failures").inc()
             raise WorkerError(failures)
 
         for scheme in fresh:
-            result = outcomes[scheme.identifier]
-            paid = evaluator._longest_paid_prefix(scheme)
-            cost = EVAL_OVERHEAD_HOURS
-            for step_cost in result.step_costs[paid:]:
-                cost += step_cost
-            result.cost = cost
-            if tracer.enabled:
-                # The wall-time of the work lives in the enclosing
-                # engine.batch span; this span exists to attribute the
-                # charged cost float exactly once, mirroring the serial path.
-                span = tracer.start(
-                    "evaluate", scheme=scheme.identifier, steps=scheme.length, parallel=True
-                )
+            identifier = scheme.identifier
+            result = outcomes[identifier]
+            result.cost = evaluator._charge(scheme, result.step_costs)
+            # The wall-time of the work lives in the enclosing engine.batch
+            # span; this span exists to attribute the charged cost float
+            # exactly once, mirroring the serial path.
+            with tracer.span(
+                "evaluate", scheme=identifier, steps=scheme.length, parallel=True
+            ) as span:
                 evaluator._annotate(result, span)
-                tracer.finish(span)
             # Same bookkeeping as the serial path: drift, the workspace peak
             # the worker measured, latency violations, results and costs.
             evaluator._record(result)
@@ -903,10 +883,9 @@ class EvaluationEngine:
         """
         tracer = self.tracer
         max_group = -(-len(fresh) // self.workers)  # ceil; balance lanes
-        groups = plan_prefix_groups(fresh, max_group=max_group)
-        if tracer.enabled:
-            span = tracer.start("engine.schedule", fresh=len(fresh), groups=len(groups))
-            tracer.finish(span)
+        with tracer.span("engine.schedule", fresh=len(fresh)) as span:
+            groups = plan_prefix_groups(fresh, max_group=max_group)
+            span.set(groups=len(groups))
 
         pool = self._pool_handle()
         token = self._token()
@@ -952,7 +931,7 @@ class EvaluationEngine:
                     self._worker_snapshot_hits += result.snapshot_hits
                     self._worker_snapshot_steps_saved += result.snapshot_steps_saved
                     self._worker_snapshot_foreign_hits += result.snapshot_foreign_hits
-                    if tracer.enabled and result.snapshot_hits:
+                    if result.snapshot_hits:
                         tracer.metrics.counter("engine.snapshot_hits").inc(
                             result.snapshot_hits
                         )

@@ -186,8 +186,8 @@ class SchemeEvaluator:
         self._model_cache: "OrderedDict[str, ModelSnapshot]" = OrderedDict()
         self._model_cache_size = config.model_cache_size
         self._fingerprint: Optional[str] = None
-        #: observability hook (see repro.obs); NULL_TRACER keeps the
-        #: uninstrumented hot path to a single attribute check
+        #: observability hook (see repro.obs); the shared no-op NULL_TRACER
+        #: unless a tracer is attached
         self.tracer = NULL_TRACER
         #: strategy steps actually executed (replay work; resumed steps skip)
         self.steps_executed = 0
@@ -251,16 +251,12 @@ class SchemeEvaluator:
             self._model_cache.popitem(last=False)
         store = self.snapshot_store
         if persist and store is not None:
-            tracer = self.tracer
-            if tracer.enabled:
-                before = store.bytes_written
-                with tracer.span("snapshot.save", prefix=key):
-                    store.put(snapshot)
-                tracer.metrics.counter("snapshot.bytes_written").inc(
-                    store.bytes_written - before
-                )
-            else:
+            before = store.bytes_written
+            with self.tracer.span("snapshot.save", prefix=key):
                 store.put(snapshot)
+            self.tracer.metrics.counter("snapshot.bytes_written").inc(
+                store.bytes_written - before
+            )
 
     def _longest_cached_prefix(
         self, scheme: CompressionScheme
@@ -279,20 +275,16 @@ class SchemeEvaluator:
                 return length, snapshot
             if store is not None and identifier in store:
                 tracer = self.tracer
-                if tracer.enabled:
-                    with tracer.span("snapshot.load", prefix=identifier, steps=length):
-                        snapshot = store.get(identifier)
-                else:
+                with tracer.span("snapshot.load", prefix=identifier, steps=length):
                     snapshot = store.get(identifier)
                 if snapshot is not None:
                     self.snapshot_hits += 1
                     self.snapshot_steps_saved += length
                     if identifier not in store.written_ids:
                         self.snapshot_foreign_hits += 1
-                    if tracer.enabled:
-                        tracer.event("snapshot_hit", prefix=identifier, steps=length)
-                        tracer.metrics.counter("snapshot.hits").inc()
-                        tracer.metrics.counter("snapshot.steps_saved").inc(length)
+                    tracer.event("snapshot_hit", prefix=identifier, steps=length)
+                    tracer.metrics.counter("snapshot.hits").inc()
+                    tracer.metrics.counter("snapshot.steps_saved").inc(length)
                     self._cache_model(
                         identifier,
                         snapshot.model,
@@ -304,8 +296,7 @@ class SchemeEvaluator:
                     return length, snapshot
         if store is not None and scheme.length > 1:
             self.snapshot_misses += 1
-            if self.tracer.enabled:
-                self.tracer.metrics.counter("snapshot.misses").inc()
+            self.tracer.metrics.counter("snapshot.misses").inc()
         return 0, None
 
     def _measure_latency(self, model: Module) -> Tuple[float, int]:
@@ -323,10 +314,7 @@ class SchemeEvaluator:
 
         input_shape = getattr(self, "_input_shape", (3, 32, 32))
         reset_workspace_peak()
-        if self.tracer.enabled:
-            with self.tracer.span("latency.measure", batch=batch):
-                ms = measure_latency(model, input_shape, batch=batch, seed=self.seed)
-        else:
+        with self.tracer.span("latency.measure", batch=batch):
             ms = measure_latency(model, input_shape, batch=batch, seed=self.seed)
         return ms, int(workspace_stats()["bytes_peak"])
 
@@ -391,9 +379,8 @@ class SchemeEvaluator:
         if cost_model.feasible(scheme, budget):
             return True
         self.budget_filtered += 1
-        if self.tracer.enabled:
-            self.tracer.event("budget_filter", scheme=scheme.identifier)
-            self.tracer.metrics.counter("budget_filtered").inc()
+        self.tracer.event("budget_filter", scheme=scheme.identifier)
+        self.tracer.metrics.counter("budget_filtered").inc()
         return False
 
     # -- public API ----------------------------------------------------------
@@ -428,18 +415,17 @@ class SchemeEvaluator:
             cost_model=self.cost_model if self.budget is not None else None,
         )
         if report.has_errors:
+            identifier = scheme.identifier
             rules = sorted({d.rule for d in report.errors})
             self.rejected_count += 1
-            self.rejected[scheme.identifier] = report
-            over_budget = any(rule.startswith("S") for rule in rules)
-            if over_budget:
+            self.rejected[identifier] = report
+            tracer = self.tracer
+            tracer.event("lint_reject", scheme=identifier, rules=rules)
+            tracer.metrics.counter("lint_rejects").inc()
+            if any(rule.startswith("S") for rule in rules):
                 self.budget_rejects += 1
-            if self.tracer.enabled:
-                self.tracer.event("lint_reject", scheme=scheme.identifier, rules=rules)
-                self.tracer.metrics.counter("lint_rejects").inc()
-                if over_budget:
-                    self.tracer.event("budget_reject", scheme=scheme.identifier)
-                    self.tracer.metrics.counter("budget_rejects").inc()
+                tracer.event("budget_reject", scheme=identifier)
+                tracer.metrics.counter("budget_rejects").inc()
             raise SchemeRejected(scheme, report)
         return report
 
@@ -449,11 +435,12 @@ class SchemeEvaluator:
         Raises :class:`~repro.analysis.linter.SchemeRejected` when linting is
         enabled and the scheme has an error-severity finding.
         """
-        if scheme.identifier in self.results:
-            if self.tracer.enabled:
-                self.tracer.event("cache_hit", scheme=scheme.identifier, source="memory")
-                self.tracer.metrics.counter("cache_hits.memory").inc()
-            return self.results[scheme.identifier]
+        identifier = scheme.identifier
+        result = self.results.get(identifier)
+        if result is not None:
+            self.tracer.event("cache_hit", scheme=identifier, source="memory")
+            self.tracer.metrics.counter("cache_hits.memory").inc()
+            return result
         if self.lint_schemes and not scheme.is_empty:
             self.lint(scheme)
         return self._evaluate_recorded(scheme)
@@ -470,24 +457,27 @@ class SchemeEvaluator:
         to the same result object.
         """
         schemes = list(schemes)
+        identifiers = [scheme.identifier for scheme in schemes]
         unique: Dict[str, CompressionScheme] = {}
-        for scheme in schemes:
-            unique.setdefault(scheme.identifier, scheme)
-        if self.tracer.enabled:
-            for scheme in unique.values():
-                if scheme.identifier in self.results:
-                    self.tracer.event("cache_hit", scheme=scheme.identifier, source="memory")
-                    self.tracer.metrics.counter("cache_hits.memory").inc()
+        for identifier, scheme in zip(identifiers, schemes):
+            unique.setdefault(identifier, scheme)
+        results = self.results
+        fresh: List[CompressionScheme] = []
+        for identifier, scheme in unique.items():
+            if identifier in results:
+                self.tracer.event("cache_hit", scheme=identifier, source="memory")
+                self.tracer.metrics.counter("cache_hits.memory").inc()
+            else:
+                fresh.append(scheme)
         if self.lint_schemes:
-            for scheme in unique.values():
-                if not scheme.is_empty and scheme.identifier not in self.results:
+            for scheme in fresh:
+                if not scheme.is_empty:
                     self.lint(scheme)
-        for scheme in unique.values():
-            if scheme.identifier not in self.results:
-                self._evaluate_recorded(scheme)
-        return [self.results[scheme.identifier] for scheme in schemes]
+        for scheme in fresh:
+            self._evaluate_recorded(scheme)
+        return [results[identifier] for identifier in identifiers]
 
-    def _record_prediction(self, result: EvaluationResult, span=None) -> None:
+    def _record_prediction(self, result: EvaluationResult, span) -> None:
         """Fold predicted-vs-measured drift into the running accounting."""
         cost_model = self.cost_model
         if cost_model is None or result.scheme.is_empty:
@@ -522,18 +512,17 @@ class SchemeEvaluator:
             )
             self.act_mem_evals += 1
             self.drift_act_mem_pct_sum += act_mem_pct
-        if span is not None:
+        span.set(
+            predicted_params=prediction.params,
+            predicted_flops=prediction.flops,
+            drift_params_pct=round(params_pct, 3),
+            drift_flops_pct=round(flops_pct, 3),
+        )
+        if act_mem_pct is not None:
             span.set(
-                predicted_params=prediction.params,
-                predicted_flops=prediction.flops,
-                drift_params_pct=round(params_pct, 3),
-                drift_flops_pct=round(flops_pct, 3),
+                predicted_act_mem=prediction.act_mem,
+                drift_act_mem_pct=round(act_mem_pct, 3),
             )
-            if act_mem_pct is not None:
-                span.set(
-                    predicted_act_mem=prediction.act_mem,
-                    drift_act_mem_pct=round(act_mem_pct, 3),
-                )
 
     def prediction_drift(self) -> Dict[str, float]:
         """Mean absolute predicted-vs-measured drift over fresh evaluations."""
@@ -552,26 +541,25 @@ class SchemeEvaluator:
 
     def _evaluate_recorded(self, scheme: CompressionScheme) -> EvaluationResult:
         """Run ``_evaluate`` and fold the result into the bookkeeping."""
-        tracer = self.tracer
-        if tracer.enabled:
-            with tracer.span("evaluate", scheme=scheme.identifier, steps=scheme.length) as span:
-                result = self._evaluate(scheme)
-                self._annotate(result, span)
-        else:
+        with self.tracer.span("evaluate", scheme=scheme.identifier, steps=scheme.length) as span:
             result = self._evaluate(scheme)
+            self._annotate(result, span)
         self._record(result)
         return result
 
     def _annotate(self, result: EvaluationResult, span) -> None:
-        """Attach a fresh result to its traced ``evaluate`` span.
+        """Attach a fresh result to its ``evaluate`` span.
 
         One charged evaluation == one ``evaluate`` span carrying its exact
         cost float (the journal-sum == total_cost invariant); the cost
-        model's prediction drift goes on the same span.
+        model's prediction drift goes on the same span.  The prediction runs
+        only when the run is traced or a budget is set; untraced runs
+        without a budget do not pay for the cost model.
         """
         span.add_cost(result.cost)
         span.set(params=result.params, pr=result.pr, accuracy=result.accuracy)
-        self._record_prediction(result, span)
+        if self.tracer.enabled or self.budget is not None:
+            self._record_prediction(result, span)
         if result.workspace_bytes_peak:
             span.set(workspace_bytes_peak=result.workspace_bytes_peak)
 
@@ -580,20 +568,16 @@ class SchemeEvaluator:
 
         The serial path and the engine's parallel merge both end here, so
         drift, workspace and measured-latency accounting agree between
-        them.  Traced runs recorded the prediction in :meth:`_annotate`;
-        untraced ones pay for the cost model only when a budget is set.
+        them.
         """
+        identifier = result.scheme.identifier
         tracer = self.tracer
-        if tracer.enabled:
-            tracer.metrics.counter("evaluations.fresh").inc()
-        elif self.budget is not None:
-            self._record_prediction(result)
+        tracer.metrics.counter("evaluations.fresh").inc()
         if result.workspace_bytes_peak > self.workspace_bytes_peak:
             self.workspace_bytes_peak = result.workspace_bytes_peak
-            if tracer.enabled:
-                tracer.metrics.gauge("nn.workspace_bytes_peak").set(
-                    float(result.workspace_bytes_peak)
-                )
+            tracer.metrics.gauge("nn.workspace_bytes_peak").set(
+                float(result.workspace_bytes_peak)
+            )
         budget = self.budget
         if (
             budget is not None
@@ -604,15 +588,14 @@ class SchemeEvaluator:
             # The measured (not proxy) side of the S004 constraint: the scheme
             # was already paid for, so it is counted and reported, not rejected.
             self.latency_violations += 1
-            if tracer.enabled:
-                tracer.event(
-                    "latency_violation",
-                    scheme=result.scheme.identifier,
-                    latency_ms=round(result.latency_ms, 3),
-                    max_latency_ms=budget.max_latency_ms,
-                )
-                tracer.metrics.counter("latency_violations").inc()
-        self.results[result.scheme.identifier] = result
+            tracer.event(
+                "latency_violation",
+                scheme=identifier,
+                latency_ms=round(result.latency_ms, 3),
+                max_latency_ms=budget.max_latency_ms,
+            )
+            tracer.metrics.counter("latency_violations").inc()
+        self.results[identifier] = result
         self.total_cost += result.cost
         self.evaluation_count += 1
 
@@ -831,12 +814,10 @@ class SurrogateEvaluator(SchemeEvaluator):
             train_enabled=False,
             seed=self.seed + stable_hash(sub_scheme.identifier) % 100_000,
         )
-        params_before = model.num_parameters()
+        # Every method's report counts the parameters before and after it.
         report = strategy.method.apply(model, strategy.hp, ctx)
-        params_after = model.num_parameters()
-
-        pr_before = (self.base_params - params_before) / self.base_params
-        pr_after = (self.base_params - params_after) / self.base_params
+        pr_before = (self.base_params - report.params_before) / self.base_params
+        pr_after = (self.base_params - report.params_after) / self.base_params
         ft_norm = float(strategy.hp.get("HP1", strategy.hp.get("HP9", 0.0)))
         step_rng = np.random.default_rng(
             (self.seed * 1_000_003 + stable_hash(sub_scheme.identifier)) % (2 ** 63)
@@ -856,7 +837,7 @@ class SurrogateEvaluator(SchemeEvaluator):
         # Cost proxy: training FLOPs scale roughly with the remaining
         # parameter fraction.  It stays a proxy, not the graph count,
         # because charged step costs are pinned in the surrogate goldens.
-        flops_g = (self.base_flops / 1e9) * (params_after / self.base_params)
+        flops_g = (self.base_flops / 1e9) * (report.params_after / self.base_params)
         return report, _step_cost(report, flops_g, self.data_fraction), accuracy
 
     # The surrogate carries accuracy in percent, snapshots included.

@@ -226,22 +226,21 @@ class SearchStrategy:
         )
         self.trajectory.append(point)
         tracer = self.tracer
-        if tracer.enabled:
-            tracer.event(
-                "search.trajectory",
-                cost=point.cost,
-                evaluations=point.evaluations,
-                best_accuracy=point.best_accuracy,
-                best_ar=point.best_ar,
-                hypervolume=point.hypervolume,
-                front_size=point.front_size,
-            )
-            metrics = tracer.metrics
-            metrics.gauge("search.front_size").set(point.front_size)
-            metrics.gauge("search.hypervolume").set(point.hypervolume)
-            metrics.gauge("search.best_accuracy").set(point.best_accuracy)
-            metrics.gauge("search.total_cost").set(point.cost)
-            metrics.gauge("search.evaluations").set(point.evaluations)
+        tracer.event(
+            "search.trajectory",
+            cost=point.cost,
+            evaluations=point.evaluations,
+            best_accuracy=point.best_accuracy,
+            best_ar=point.best_ar,
+            hypervolume=point.hypervolume,
+            front_size=point.front_size,
+        )
+        metrics = tracer.metrics
+        metrics.gauge("search.front_size").set(point.front_size)
+        metrics.gauge("search.hypervolume").set(point.hypervolume)
+        metrics.gauge("search.best_accuracy").set(point.best_accuracy)
+        metrics.gauge("search.total_cost").set(point.cost)
+        metrics.gauge("search.evaluations").set(point.evaluations)
         return point
 
     def finish(self) -> SearchResult:

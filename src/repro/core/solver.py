@@ -233,8 +233,7 @@ class Solver:
         """
         st = self.strategy
         tracer = st.tracer
-        if tracer.enabled:
-            tracer.annotate_run(solver=self.solver_name, algorithm=st.name)
+        tracer.annotate_run(solver=self.solver_name, algorithm=st.name)
         self.setup()
         st.record()
 
@@ -243,17 +242,12 @@ class Solver:
         while st.budget_left() > 0 and not self.done():
             if stop is not None and stop():
                 break
-            span = (
-                tracer.start(
-                    "search.round",
-                    algorithm=st.name,
-                    solver=self.solver_name,
-                    round=round_index,
-                )
-                if tracer.enabled
-                else None
-            )
-            try:
+            with tracer.span(
+                "search.round",
+                algorithm=st.name,
+                solver=self.solver_name,
+                round=round_index,
+            ) as span:
                 self._round_attrs = {}
                 proposals = [s for s in self.propose(st) if not s.is_empty]
                 batch: List[CompressionScheme] = []
@@ -265,8 +259,7 @@ class Solver:
                         batch.append(scheme)
                     else:
                         st.proposals_pruned += 1
-                if span is not None:
-                    span.set(proposals=len(proposals), batch=len(batch))
+                span.set(proposals=len(proposals), batch=len(batch))
                 if not proposals:
                     break
                 results: List[EvaluationResult] = []
@@ -281,12 +274,8 @@ class Solver:
                 st.rounds_completed += 1
                 if on_round is not None:
                     on_round(st)
-                if span is not None and self._round_attrs:
-                    span.set(**self._round_attrs)
+                span.set(**self._round_attrs)
                 if not batch and empty_rounds >= self.max_empty_rounds:
                     break
-            finally:
-                if span is not None:
-                    tracer.finish(span)
             round_index += 1
         return st.finish()

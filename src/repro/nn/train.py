@@ -75,8 +75,8 @@ class Trainer:
         #: :func:`repro.nn.tensor.detect_anomaly` so the first NaN/Inf raises
         #: an AnomalyError naming the op that produced it.
         self.detect_anomaly = detect_anomaly
-        #: observability hook (see repro.obs); with the default NULL_TRACER
-        #: the per-step overhead is a single attribute check
+        #: observability hook (see repro.obs); the default NULL_TRACER is
+        #: the shared no-op tracer
         self.tracer = NULL_TRACER
 
     def evaluate(self, model: Module, dataset, batch_size: Optional[int] = None) -> float:
@@ -115,13 +115,8 @@ class Trainer:
         guard = detect_anomaly() if self.detect_anomaly else contextlib.nullcontext()
         step = 0
         tracer = self.tracer
-        traced = tracer.enabled
-        fit_span = (
-            tracer.start("train.fit", epochs=float(epochs), steps=total_steps)
-            if traced
-            else None
-        )
-        epoch_span = tracer.start("train.epoch", epoch=0) if traced else None
+        fit_span = tracer.start("train.fit", epochs=float(epochs), steps=total_steps)
+        epoch_span = tracer.start("train.epoch", epoch=0)
         try:
             with guard:
                 while step < total_steps:
@@ -139,7 +134,7 @@ class Trainer:
                             step_hook(model, step)
                         report.losses.append(loss.item())
                         step += 1
-                        if traced and (step % steps_per_epoch == 0 or step >= total_steps):
+                        if step % steps_per_epoch == 0 or step >= total_steps:
                             epoch_index = (step - 1) // steps_per_epoch
                             epoch_losses = report.losses[epoch_index * steps_per_epoch:]
                             epoch_span.set(
@@ -156,7 +151,6 @@ class Trainer:
         finally:
             if epoch_span is not None:
                 tracer.finish(epoch_span)
-            if fit_span is not None:
-                fit_span.set(final_loss=report.final_loss)
-                tracer.finish(fit_span)
+            fit_span.set(final_loss=report.final_loss)
+            tracer.finish(fit_span)
         return report

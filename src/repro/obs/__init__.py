@@ -4,8 +4,8 @@ Zero-dependency observability for the search/engine/training stack:
 
 * :class:`Tracer` / :data:`NULL_TRACER` — hierarchical spans
   (``search.round`` → ``engine.batch`` → ``evaluate`` → ``train.epoch``)
-  with wall-time and simulated-GPU-hour attribution; the null tracer makes
-  uninstrumented hot paths cost a single attribute check.
+  with wall-time and simulated-GPU-hour attribution; untraced runs call a
+  shared no-op tracer, so they execute the same code as traced ones.
 * :class:`Metrics` — counters / gauges / histograms, snapshot-able to JSON.
 * :class:`RunJournal` / :func:`read_journal` / :func:`summarize_journal` —
   a crash-safe JSONL stream of every span and event, replayable post-hoc

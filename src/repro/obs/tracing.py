@@ -16,8 +16,10 @@ budget went: the sum of ``evaluate`` span costs in journal order equals
 
 The default tracer on every instrumented object is the shared
 :data:`NULL_TRACER`: ``enabled`` is ``False`` and every method is a no-op,
-so uninstrumented hot paths pay a single attribute check
-(``if self.tracer.enabled``).  Tracers are single-threaded by design; engine
+so instrumented code calls a shared no-op tracer instead of branching on
+whether it is traced.  ``enabled`` is read only where tracing decides what
+gets computed (the cost-model prediction on ``evaluate`` spans, a search
+result's ``obs`` snapshot).  Tracers are single-threaded by design; engine
 worker processes never trace (spans are emitted by the parent at merge
 time).
 """

@@ -66,8 +66,11 @@ class TestAllMethodsRealRun:
         model = copy.deepcopy(source)
         before = model.num_parameters()
         ctx = _context(tiny_data, train_enabled=False, original_params=before)
-        METHODS[label].apply(model, dict(HP_DEFAULTS), ctx)
+        report = METHODS[label].apply(model, dict(HP_DEFAULTS), ctx)
         assert model.num_parameters() < before
+        # The surrogate evaluator reads its PR deltas from these two fields.
+        assert report.params_before == before
+        assert report.params_after == model.num_parameters()
 
 
 class TestMethodSpecifics:
