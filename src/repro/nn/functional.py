@@ -4,8 +4,9 @@ The hot ops are *fused kernels*: single registered ops whose forward is one
 numpy expression and whose backward is hand-written in closed form, instead
 of a chain of primitive tape nodes that each allocate a fresh array.
 
-* :func:`conv2d` — im2col + BLAS matmul forward, explicit col2im backward,
-  with an optional fused ReLU (``activation="relu"``);
+* :func:`conv2d` — forward as one patch gather (:func:`_im2col`, shared
+  with ``quant_conv2d``) and one BLAS GEMM over the whole batch, explicit
+  col2im backward, with an optional fused ReLU (``activation="relu"``);
 * :func:`batch_norm` — one op for both modes: batch statistics with the
   closed-form batchnorm backward during training, a precomputed scale/shift
   multiply-add at eval time;
@@ -29,27 +30,69 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from .tensor import Tensor, _register_op, _unbroadcast
 from .workspace import record_scratch
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """(N, C, H, W) -> (N, C*kh*kw, Ho*Wo) transposed patch matrix.
+def _im2col(
+    x: np.ndarray, kh: int, kw: int, stride: int, padding: int, dtype: np.dtype
+) -> Tuple[np.ndarray, int, int]:
+    """Patch matrix of NCHW ``x`` for one conv GEMM, cast to ``dtype``.
 
-    Transposed layout on purpose: ``wmat @ cols`` then yields the NCHW
-    output directly, with no final transpose copy.  Each kernel tap is a
-    run of ``Wo`` strided elements, so the gather is one ``copyto`` from a
-    6-D window view.  A pointwise conv gets a view of ``x`` back, not a
-    copy.
+    Returns ``(cols, wc, scratch_bytes)``.  ``cols`` is ``(C*kh*kw,
+    N*Ho*wc)``, so ``wmat @ cols`` is the whole conv in one GEMM; its
+    columns are ``(n, ho, w)`` positions, of which the first ``Wo`` per
+    row are outputs (see :func:`_per_sample`).  The gather is one
+    ``copyto`` from an ``as_strided`` view, and any cast (int8 -> float32
+    in ``quant_conv2d``) happens inside that copy.
+
+    * stride-1 padded convs gather whole padded rows (``wc = Wp``): each
+      kernel tap is then one contiguous run of ``Ho*Wp`` elements.  A
+      tap's run spills ``kw - 1`` elements past the last row, so the
+      padded buffer carries one spare zero row; the ``kw - 1`` wrapped
+      columns of every output row are dropped when the output is written.
+    * other convs gather runs of ``Wo`` elements (``wc = Wo``).
+    * an unpadded pointwise conv without a cast returns ``(N, C, H*W)``, a
+      view of ``x`` itself: ``wmat @ cols`` then is NCHW already.
     """
     n, c, h, w = x.shape
-    ho, wo = (h - kh) // stride + 1, (w - kw) // stride + 1
-    if kh == kw == stride == 1:
-        return x.reshape(n, c, h * w)
-    sn, sc, sh, sw = x.strides
-    windows = as_strided(
-        x, (n, c, kh, kw, ho, wo), (sn, sc, sh, sw, sh * stride, sw * stride),
-        writeable=False,
-    )
-    cols = np.empty((n, c * kh * kw, ho * wo), dtype=x.dtype)
-    np.copyto(cols.reshape(windows.shape), windows)
-    return cols
+    hp, wp = h + 2 * padding, w + 2 * padding
+    ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    if kh == kw == stride == 1 and not padding and x.dtype == dtype:
+        return x.reshape(n, c, h * w), wo, 0
+    wide = stride == 1 and padding > 0
+    scratch = 0
+    xp = x
+    if padding:
+        xp = np.zeros((n, c, hp + wide, wp), dtype=x.dtype)
+        xp[:, :, padding : padding + h, padding : padding + w] = x
+        scratch += xp.nbytes
+    sn, sc, sh, sw = xp.strides
+    if wide:
+        wc = wp
+        shape, strides = (c, kh, kw, n, ho * wp), (sc, sh, sw, sn, sw)
+    else:
+        wc = wo
+        shape = (c, kh, kw, n, ho, wo)
+        strides = (sc, sh, sw, sn, sh * stride, sw * stride)
+    windows = as_strided(xp, shape, strides, writeable=False)
+    cols = np.empty((c * kh * kw, n * ho * wc), dtype=dtype)
+    np.copyto(cols.reshape(shape), windows, casting="unsafe")
+    return cols, wc, scratch + cols.nbytes
+
+
+def _per_sample(m: np.ndarray, n: int, ho: int, wo: int, wc: int) -> np.ndarray:
+    """``(N, R, Ho, Wo)`` view of an ``(R, N*Ho*wc)`` matrix laid out like
+    :func:`_im2col`'s columns, with the wrapped columns dropped."""
+    return m.reshape(-1, n, ho, wc)[:, :, :, :wo].transpose(1, 0, 2, 3)
+
+
+def _nchw(gemm: np.ndarray, n: int, ho: int, wo: int, wc: int) -> np.ndarray:
+    """The NCHW conv output from ``wmat @ cols``: the pointwise ``(N, F,
+    H*W)`` product reshaped in place, otherwise one crop-and-transpose copy
+    (a plain copy is about 3x faster than an arithmetic ufunc over the
+    transposed view, so bias and clamps are applied before it)."""
+    if gemm.ndim == 3:
+        return gemm.reshape(n, -1, ho, wo)
+    out = np.empty((n, gemm.shape[0], ho, wo), dtype=gemm.dtype)
+    np.copyto(out, _per_sample(gemm, n, ho, wo, wc))
+    return out
 
 
 def _col2im(
@@ -108,24 +151,15 @@ def conv2d(
     wmat = weight.data.reshape(f, -1)  # (F, C*kh*kw)
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (w + 2 * padding - kw) // stride + 1
-    xp = x.data
-    if padding:
-        xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.data.dtype)
-        xp[:, :, padding:-padding, padding:-padding] = x.data
-    xp_shape = xp.shape
-    cols = _im2col(xp, kh, kw, stride)  # (N, C*kh*kw, Ho*Wo)
-    record_scratch(
-        (xp.nbytes if padding else 0)
-        + (0 if np.may_share_memory(cols, xp) else cols.nbytes)
-    )
-    # The GEMM output (N, F, Ho*Wo) reshapes to NCHW in place, and is
-    # freshly allocated: the fused clamp below really is in place.
-    out = np.matmul(wmat, cols).reshape(n, f, ho, wo)
+    cols, wc, scratch = _im2col(x.data, kh, kw, stride, padding, x.data.dtype)
+    record_scratch(scratch)
+    gemm = np.matmul(wmat, cols)  # freshly allocated: the ops below are in place
     if bias is not None:
-        out += bias.data.reshape(f, 1, 1)
+        gemm += bias.data.reshape(f, 1)
     relu_mask = None
     if activation == "relu":
-        np.maximum(out, 0.0, out=out)
+        np.maximum(gemm, 0.0, out=gemm)
+    out = _nchw(gemm, n, ho, wo, wc)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
@@ -134,16 +168,22 @@ def conv2d(
             grad = grad * relu_mask  # never mask `grad` in place: the tape owns it
         gmat = grad.reshape(n, f, ho * wo)  # (N, F, Ho*Wo), no copy
         if weight.requires_grad:
-            # Batched gemm per sample, then reduce over the batch.  BLAS
-            # consumes the transposed view of `cols` directly, so this
-            # avoids the two large contiguous copies np.tensordot makes and
-            # measures ~1.4-2x faster on ResNet shapes.
-            dw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0)
+            # Per-sample GEMMs over the (N, C*kh*kw, Ho*Wo) cropped columns,
+            # then a reduction over the batch.  BLAS consumes the transposed
+            # view directly, which avoids the two large contiguous copies
+            # np.tensordot makes.
+            if cols.ndim == 3:
+                pcols = cols
+            else:
+                pcols = np.ascontiguousarray(_per_sample(cols, n, ho, wo, wc))
+                pcols = pcols.reshape(n, -1, ho * wo)
+            dw = np.matmul(gmat, pcols.transpose(0, 2, 1)).sum(axis=0)
             weight._accumulate(dw.reshape(weight.shape))
         if bias is not None and bias.requires_grad:
             bias._accumulate(gmat.sum(axis=(0, 2)))
         if x.requires_grad:
             dcols = np.matmul(wmat.T, gmat)  # (N, C*kh*kw, Ho*Wo)
+            xp_shape = (n, c, h + 2 * padding, w + 2 * padding)
             dxp = _col2im(dcols, xp_shape, kh, kw, stride, (ho, wo))
             if padding:
                 dxp = dxp[:, :, padding:-padding, padding:-padding]

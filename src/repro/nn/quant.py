@@ -13,22 +13,21 @@ Two modes, selected by :func:`quantize_module`:
   (half the bytes) and are cast back to float32 for the existing fused
   kernels.  No accuracy surprises, no speedup claim.
 
-The int8 conv kernel is an **NHWC tap-accumulation implicit GEMM**: the
-quantized activation is laid out channels-last, and for each of the
-``kh*kw`` kernel taps one strided slice is cast to float32 (a single fused
-copy+cast) and multiplied against that tap's ``(C, F)`` weight matrix with
-BLAS, accumulating in float32.  No im2col buffer is materialised — the cast
-slices are the only copies, which is what makes the kernel faster than the
-float path instead of merely smaller.
+The int8 conv kernel shares the float conv's patch gather
+(:func:`repro.nn.functional._im2col`): the quantized activation is
+gathered into a ``(C*kh*kw, N*Ho*Wc)`` float32 matrix, the int8 -> float32
+cast happening inside the gather's one copy, and one BLAS GEMM against the
+``(F, C*kh*kw)`` float32 weight matrix computes the whole conv.  It runs
+the same GEMM as the float path, so it is about as fast, not faster.
 
 Accumulating integer products in float32 BLAS is *exact* int32 arithmetic
 while every partial sum stays within float32's 2**24 integer window: each
 product is at most 127 * 127 = 16129, so sums are exact up to a fan-in of
-~1040 (int8 pairs), which covers every conv in the ResNet zoo
-(C*kh*kw <= 64*9 = 576).  Larger fan-ins (VGG's 512*9) can round the last
-couple of ulps per accumulation — orders of magnitude below the
-quantization error itself; the kernel tests bound it against an exact
-int32 reference.
+:data:`EXACT_FAN_IN` = 1040, which covers every conv in the ResNet zoo
+(C*kh*kw <= 64*9 = 576).  Larger fan-ins (VGG's 512*9) are split into
+chunks of at most 1040 rows, each chunk's GEMM exact, and the chunk
+products are added in float64, so every fan-in gives the exact integer
+sum (rounded once to float32).
 
 BatchNorm folding happens at quantize time (:func:`fold_batchnorm`): each
 ``Conv2d -> BatchNorm2d`` pair adjacent in registration order is collapsed
@@ -55,6 +54,10 @@ QMAX = 127
 
 #: floor for scales so all-zero tensors quantize without dividing by zero
 _EPS = 1e-12
+
+#: largest fan-in K whose int8 products sum exactly in float32:
+#: K * QMAX**2 < 2**24
+EXACT_FAN_IN = (2**24 - 1) // QMAX**2
 
 
 # --------------------------------------------------------------------------- #
@@ -100,10 +103,12 @@ def quantize_activation(
     absmax — which is the calibration-free default.
     """
     if scale is None:
-        absmax = float(np.max(np.abs(x))) if x.size else 0.0
+        absmax = float(max(x.max(), -x.min())) if x.size else 0.0
         scale = max(absmax, _EPS) / QMAX
-    q = np.clip(np.rint(x * (1.0 / scale)), -QMAX, QMAX).astype(np.int8)
-    return q, scale
+    q = x * (1.0 / scale)
+    np.rint(q, out=q)
+    np.clip(q, -QMAX, QMAX, out=q)
+    return q.astype(np.int8), scale
 
 
 # --------------------------------------------------------------------------- #
@@ -116,6 +121,23 @@ def _inference_only_backward(_grad: np.ndarray) -> None:
     )
 
 
+def _exact_int_gemm(wmat: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``wmat @ cols`` over int8-valued float32 operands, exactly.
+
+    One float32 GEMM when the fan-in keeps every partial sum inside
+    float32's integer window (``K * 127**2 < 2**24``, see the module
+    docstring); otherwise the fan-in is split into chunks that do, and
+    the exact chunk products are added in float64.
+    """
+    k = wmat.shape[1]
+    if k <= EXACT_FAN_IN:
+        return wmat @ cols
+    acc = np.zeros((wmat.shape[0], cols.shape[1]), dtype=np.float64)
+    for lo in range(0, k, EXACT_FAN_IN):
+        acc += wmat[:, lo : lo + EXACT_FAN_IN] @ cols[lo : lo + EXACT_FAN_IN]
+    return acc.astype(np.float32)
+
+
 def quant_conv2d(
     x: Tensor,
     qweight: np.ndarray,
@@ -125,19 +147,19 @@ def quant_conv2d(
     padding: int = 0,
     activation: Optional[str] = None,
     x_scale: Optional[float] = None,
-    wtaps: Optional[np.ndarray] = None,
+    wmat: Optional[np.ndarray] = None,
 ) -> Tensor:
     """Int8 2D convolution for NCHW input and int8 ``(F, C, kh, kw)`` weights.
 
-    The input is quantized per-tensor (``x_scale``, dynamic when ``None``),
-    laid out NHWC, and convolved by tap accumulation: per kernel tap one
-    strided slice -> float32 cast -> BLAS GEMM against the tap's ``(C, F)``
-    weight matrix, accumulated in float32 (exact int32 semantics — see the
-    module docstring).  The accumulator is then requantized with the fused
-    per-channel ``x_scale * weight_scale`` multiply, the bias added, and an
-    optional ReLU clamped in place.  ``wtaps`` accepts the precomputed
-    ``(kh, kw, C, F)`` float32 weight layout so persistent layers pay the
-    transpose once.
+    The input is quantized per-tensor (``x_scale``, dynamic when ``None``)
+    and its patches gathered by the float conv's ``_im2col``, which casts
+    int8 to float32 inside its one copy.  One float32 GEMM against the
+    ``(F, C*kh*kw)`` weight matrix computes the integer accumulator exactly
+    (see the module docstring).  The per-channel ``x_scale * weight_scale``
+    requantization, the bias and an optional ReLU then run in place on the
+    accumulator, and one copy writes the NCHW output.  ``wmat`` accepts the
+    precomputed float32 weight matrix so persistent layers pay the cast
+    once.
     """
     if activation not in (None, "relu"):
         raise ValueError(
@@ -149,31 +171,19 @@ def quant_conv2d(
         raise ValueError(f"quant_conv2d channel mismatch: input {c} vs weight {c_w}")
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (w + 2 * padding - kw) // stride + 1
+    if wmat is None:
+        wmat = qweight.reshape(f, -1).astype(np.float32)
 
-    if wtaps is None:
-        wtaps = np.ascontiguousarray(
-            qweight.transpose(2, 3, 1, 0).astype(np.float32)
-        )  # (kh, kw, C, F)
-
-    rows = n * ho * wo
     xq, x_scale = quantize_activation(x.data, x_scale)
-    if padding:
-        xq = np.pad(xq, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    xq = np.ascontiguousarray(xq.transpose(0, 2, 3, 1))  # NHWC int8
-    record_scratch(xq.nbytes + rows * c * 4)  # + one float32 tap cast
-    acc = np.zeros((rows, f), dtype=np.float32)
-    for i in range(kh):
-        for j in range(kw):
-            patch = xq[:, i : i + ho * stride : stride, j : j + wo * stride : stride, :]
-            # astype is the only copy: one fused contiguous cast per tap.
-            acc += patch.astype(np.float32).reshape(rows, c) @ wtaps[i, j]
-
-    acc *= (np.float32(x_scale) * np.asarray(weight_scale, dtype=np.float32))[None, :]
+    cols, wc, scratch = F._im2col(xq, kh, kw, stride, padding, np.float32)
+    record_scratch(scratch)
+    acc = _exact_int_gemm(wmat, cols)  # (F, N*Ho*wc)
+    acc *= (np.float32(x_scale) * np.asarray(weight_scale, dtype=np.float32))[:, None]
     if bias is not None:
-        acc += np.asarray(bias, dtype=np.float32)[None, :]
+        acc += np.asarray(bias, dtype=np.float32)[:, None]
     if activation == "relu":
         np.maximum(acc, 0.0, out=acc)
-    out = np.ascontiguousarray(acc.reshape(n, ho, wo, f).transpose(0, 3, 1, 2))
+    out = F._nchw(acc, n, ho, wo, wc)
     result = x._make(out, (x,), _inference_only_backward)
     return _register_op(result, "quant_conv2d")
 
@@ -252,7 +262,7 @@ class QuantizedConv2d(Module):
             self.register_buffer("x_scale", np.asarray([x_scale], dtype=np.float32))
         else:
             self.x_scale = None
-        self._wtaps: Optional[np.ndarray] = None
+        self._wmat: Optional[np.ndarray] = None
         self._observing = False
         self.observed_absmax = 0.0
         self.training = False
@@ -300,10 +310,8 @@ class QuantizedConv2d(Module):
             weight = Tensor(self.qweight.astype(np.float32))
             bias = Tensor(self.qbias) if self.qbias is not None else None
             return F.conv2d(x, weight, bias, self.stride, self.padding)
-        if self._wtaps is None:
-            self._wtaps = np.ascontiguousarray(
-                self.qweight.transpose(2, 3, 1, 0).astype(np.float32)
-            )
+        if self._wmat is None:
+            self._wmat = self.qweight.reshape(self.out_channels, -1).astype(np.float32)
         scale = float(self.x_scale[0]) if self.x_scale is not None else None
         if self._observing:
             scale = None  # calibration forwards stay dynamic
@@ -315,7 +323,7 @@ class QuantizedConv2d(Module):
             self.stride,
             self.padding,
             x_scale=scale,
-            wtaps=self._wtaps,
+            wmat=self._wmat,
         )
 
     def __repr__(self) -> str:

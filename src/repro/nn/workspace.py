@@ -1,10 +1,10 @@
 """Per-thread scratch high-water meter for the conv kernels.
 
 ``conv2d`` and ``quant_conv2d`` allocate transient scratch on every call —
-the padded input and the im2col patch matrix, or the int8 NHWC input plus
-one float32 tap cast — and drop it when the op (or, for a training forward,
-its backward) is done.  Each call reports that byte count here, and this
-thread keeps the largest one.  The evaluator's latency probe rebases the
+the padded input (float32, or int8 for ``quant_conv2d``) and the float32
+patch matrix of their shared gather — and drop it when the op (or, for a
+training forward, its backward) is done.  Each call reports that byte
+count here, and this thread keeps the largest one.  The evaluator's latency probe rebases the
 meter with :func:`reset_workspace_peak` and reads
 ``workspace_stats()["bytes_peak"]`` afterwards: the largest single-kernel
 scratch at the probe batch, the figure the cost model's activation estimate

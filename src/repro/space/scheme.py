@@ -9,9 +9,10 @@ in sets and dicts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from functools import cached_property
+from typing import Dict, Iterator, Tuple
 
-from .strategy import CompressionStrategy
+from .strategy import CompressionStrategy, _uncached_state
 
 #: the paper's maximum scheme length (§4.1 sets L=5 for all searches)
 MAX_SCHEME_LENGTH = 5
@@ -31,11 +32,14 @@ class CompressionScheme:
     def is_empty(self) -> bool:
         return not self.strategies
 
-    @property
+    @cached_property
     def identifier(self) -> str:
         if self.is_empty:
             return "START"
         return " -> ".join(s.identifier for s in self.strategies)
+
+    def __getstate__(self) -> Dict[str, object]:
+        return _uncached_state(self)
 
     @property
     def total_param_step(self) -> float:

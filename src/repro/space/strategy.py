@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,6 +24,14 @@ def _num_eq(raw: str, candidate: object) -> bool:
         return float(raw) == float(candidate)
     except (TypeError, ValueError):
         return False
+
+
+def _uncached_state(value: object) -> Dict[str, object]:
+    """Pickle state without the cached ``identifier``: a value pickles to
+    the same bytes whether or not its identifier has been read."""
+    state = dict(value.__dict__)
+    state.pop("identifier", None)
+    return state
 
 
 @dataclass(frozen=True)
@@ -43,10 +52,13 @@ class CompressionStrategy:
             return METHODS[self.method_label]
         return EXTENSION_METHODS[self.method_label]
 
-    @property
+    @cached_property
     def identifier(self) -> str:
         inner = ",".join(f"{k}={v}" for k, v in self.hp_items)
         return f"{self.method_label}[{inner}]"
+
+    def __getstate__(self) -> Dict[str, object]:
+        return _uncached_state(self)
 
     @property
     def param_step(self) -> float:

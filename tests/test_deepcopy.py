@@ -147,7 +147,7 @@ def _variant(model, variant):
     ctx = ExecutionContext(original_params=model.num_parameters(), train_enabled=False)
     method.apply(model, {**HP, **extra}, ctx)
     with no_grad():
-        model(Tensor(INPUT))  # fills lazily built caches such as _wtaps
+        model(Tensor(INPUT))  # fills lazily built caches such as _wmat
     return model
 
 
@@ -166,11 +166,11 @@ def test_variants_reach_the_layers_they_name(built_models, variant, layer):
     layers = [m for m in model.modules() if isinstance(m, layer)]
     assert layers
     if layer is QuantizedConv2d:
-        assert all(isinstance(m._wtaps, np.ndarray) for m in layers)
+        assert all(isinstance(m._wmat, np.ndarray) for m in layers)
         clone = copy.deepcopy(model)
         for a, b in zip(layers, [m for m in clone.modules() if isinstance(m, layer)]):
-            assert b._wtaps is not a._wtaps
-            assert b._wtaps.tobytes() == a._wtaps.tobytes()
+            assert b._wmat is not a._wmat
+            assert b._wmat.tobytes() == a._wmat.tobytes()
 
 
 def test_factorized_layers_keep_strided_layouts():

@@ -18,11 +18,12 @@ float32 forward on the same weights.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.models import resnet8
+from repro.models import resnet8, resnet56
 from repro.nn import Tensor, no_grad
+from repro.nn import functional as F
 from repro.nn.quant import (
     dequantize_weight,
     quant_conv2d,
@@ -108,6 +109,47 @@ def _conv2d_int64_reference(xq, qweight, stride, padding):
     return out
 
 
+def _tap_quant_conv2d(x, qweight, weight_scale, bias, stride, padding, x_scale):
+    """The former int8 kernel, kept as a reference: NHWC tap accumulation,
+    one strided slice -> float32 cast -> GEMM per kernel tap, then the
+    fused requantization, bias and ReLU."""
+    f, c, kh, kw = qweight.shape
+    n, _, h, w = x.shape
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
+    wtaps = np.ascontiguousarray(qweight.transpose(2, 3, 1, 0).astype(np.float32))
+    rows = n * ho * wo
+    xq, x_scale = quantize_activation(x, x_scale)
+    xq = np.pad(xq, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    xq = np.ascontiguousarray(xq.transpose(0, 2, 3, 1))
+    acc = np.zeros((rows, f), dtype=np.float32)
+    for i in range(kh):
+        for j in range(kw):
+            patch = xq[:, i : i + ho * stride : stride, j : j + wo * stride : stride, :]
+            acc += patch.astype(np.float32).reshape(rows, c) @ wtaps[i, j]
+    acc *= (np.float32(x_scale) * np.asarray(weight_scale, dtype=np.float32))[None, :]
+    acc += np.asarray(bias, dtype=np.float32)[None, :]
+    np.maximum(acc, 0.0, out=acc)
+    return np.ascontiguousarray(acc.reshape(n, ho, wo, f).transpose(0, 3, 1, 2))
+
+
+def _resnet56_conv_shapes(monkeypatch):
+    """``(input shape, weight shape, stride, padding)`` of every distinct conv
+    a ResNet-56 forward runs at batch 2."""
+    calls = {}
+    real = F.conv2d
+
+    def recording(x, weight, bias=None, stride=1, padding=0, activation=None):
+        calls[(x.shape, weight.shape, stride, padding)] = None
+        return real(x, weight, bias, stride, padding, activation)
+
+    monkeypatch.setattr(F, "conv2d", recording)
+    with no_grad():
+        resnet56(num_classes=10).eval()(Tensor(np.zeros((2, 3, 32, 32), dtype=np.float32)))
+    monkeypatch.undo()
+    return list(calls)
+
+
 class TestKernelExactness:
     @given(
         seed=seeds,
@@ -120,6 +162,7 @@ class TestKernelExactness:
         extra=st.integers(0, 4),
     )
     @settings(max_examples=30, deadline=None)
+    @example(seed=0, n=1, c=512, f=2, k=3, stride=1, padding=1, extra=1)  # K = 4608
     def test_quant_conv2d_matches_integer_reference(
         self, seed, n, c, f, k, stride, padding, extra
     ):
@@ -134,6 +177,43 @@ class TestKernelExactness:
         ref = _conv2d_int64_reference(xq, qw, stride, padding)
         expected = ref.astype(np.float64) * (x_scale * w_scale)[None, :, None, None]
         np.testing.assert_allclose(got, expected, rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.parametrize("c,k", [(512, 3), (1041, 1)])
+    def test_quant_conv2d_exact_beyond_float32_fan_in(self, c, k):
+        """K = C*kh*kw above 1040 can overflow float32's integer window; the
+        kernel splits the fan-in and must still match the integer reference
+        exactly, even for full-range operands (|x|, |w| = 127)."""
+        rng = np.random.default_rng(c)
+        qx = rng.choice(np.array([-127, 127], dtype=np.int8), size=(2, c, 4, 4))
+        qw = rng.choice(np.array([-127, 127], dtype=np.int8), size=(3, c, k, k))
+        qw[0] = 127  # a worst-case channel: all products +16129 where qx > 0
+        qx[0] = 127
+        got = quant_conv2d(
+            Tensor(qx.astype(np.float32)), qw, np.ones(3, dtype=np.float32),
+            padding=k // 2, x_scale=1.0,
+        ).data
+        ref = _conv2d_int64_reference(qx, qw, 1, k // 2)
+        assert np.abs(ref).max() > 2**24  # float32 accumulation would round here
+        np.testing.assert_array_equal(got, ref.astype(np.float32))
+
+    @pytest.mark.parametrize("static", [False, True], ids=["dynamic", "static"])
+    def test_quant_conv2d_matches_tap_kernel_on_resnet56(self, static, monkeypatch):
+        """Bit for bit against the former tap-accumulation kernel on every
+        ResNet-56 conv shape: both accumulate exact integers in float32."""
+        rng = np.random.default_rng(56)
+        shapes = _resnet56_conv_shapes(monkeypatch)
+        assert len(shapes) == 8  # stem, three stage bodies, two downsamplings, two shortcuts
+        for x_shape, w_shape, stride, padding in shapes:
+            x = rng.normal(size=x_shape).astype(np.float32)
+            qw, w_scale = quantize_weight(rng.normal(size=w_shape).astype(np.float32))
+            bias = rng.normal(size=w_shape[0]).astype(np.float32)
+            x_scale = 0.02 if static else None
+            got = quant_conv2d(
+                Tensor(x), qw, w_scale, bias, stride, padding,
+                activation="relu", x_scale=x_scale,
+            ).data
+            expected = _tap_quant_conv2d(x, qw, w_scale, bias, stride, padding, x_scale)
+            np.testing.assert_array_equal(got, expected, err_msg=str((x_shape, w_shape)))
 
     @given(
         seed=seeds,

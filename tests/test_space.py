@@ -1,5 +1,8 @@
 """Tests for the strategy/scheme search space (§3.2)."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -129,6 +132,23 @@ class TestScheme:
         b = START.extend(space[5])
         assert a == b and hash(a) == hash(b)
         assert len({a, b}) == 1
+
+    def test_identifiers_are_computed_once(self, space):
+        scheme = START.extend(space[5]).extend(space[9])
+        assert scheme.identifier is scheme.identifier
+        assert scheme.strategies[0].identifier is scheme.strategies[0].identifier
+
+    def test_cached_identifiers_leave_value_semantics_alone(self, space):
+        fresh = START.extend(space[5]).extend(space[9])
+        read = START.extend(space[5]).extend(space[9])
+        before = pickle.dumps(read)
+        assert read.identifier == "%s -> %s" % (space[5].identifier, space[9].identifier)
+        assert read == fresh and hash(read) == hash(fresh)
+        # the cached string is not part of the pickled or copied state
+        assert pickle.dumps(read) == before == pickle.dumps(fresh)
+        for clone in (pickle.loads(before), copy.deepcopy(read)):
+            assert clone == read and hash(clone) == hash(read)
+            assert clone.identifier == read.identifier
 
     def test_tree_size_formula(self):
         assert tree_size(2, 3) == 1 + 2 + 4 + 8

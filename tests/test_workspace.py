@@ -30,6 +30,7 @@ from repro.data.tasks import EXP1
 from repro.models import resnet56
 from repro.nn import Tensor, reset_workspace_peak, workspace_stats
 from repro.nn import functional as F
+from repro.nn.quant import quant_conv2d, quantize_weight
 from repro.space import CompressionScheme
 
 
@@ -44,15 +45,20 @@ def conv_outputs(data, stride, padding, activation=None):
     return out.data.copy(), x.grad.copy(), w.grad.copy(), b.grad.copy()
 
 
-def conv_scratch_bytes(x_shape, w_shape, stride, padding, itemsize=4):
-    """Padded input + im2col patch matrix of one conv2d call, in bytes."""
+def conv_scratch_bytes(x_shape, w_shape, stride, padding, int8=False):
+    """Padded input + patch matrix of one conv2d (or, with ``int8``, one
+    quant_conv2d) call, in bytes.  Stride-1 padded convs gather whole
+    padded rows, and their padded input carries one spare zero row; the
+    int8 kernel pads its int8 input and gathers float32 columns."""
     n, c, h, w = x_shape
     f, _, kh, kw = w_shape
     hp, wp = h + 2 * padding, w + 2 * padding
     ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
-    padded = n * c * hp * wp * itemsize if padding else 0
-    pointwise = kh == kw == stride == 1
-    patches = 0 if pointwise else n * c * kh * kw * ho * wo * itemsize
+    if kh == kw == stride == 1 and not padding and not int8:
+        return 0  # pointwise: the GEMM runs on the input itself
+    wide = stride == 1 and padding > 0
+    padded = n * c * (hp + wide) * wp * (1 if int8 else 4) if padding else 0
+    patches = c * kh * kw * n * ho * (wp if wide else wo) * 4
     return padded + patches
 
 
@@ -106,23 +112,25 @@ def reference_avg_pool(xd, kernel, stride):
 # Cold == warm bit for bit, and agreement with a direct-loop reference
 # --------------------------------------------------------------------------- #
 class TestPlannedBitIdentity:
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(
         n=st.integers(1, 3),
         c=st.integers(1, 5),
         h=st.integers(3, 11),
+        w=st.integers(3, 11),
         f=st.integers(1, 6),
-        k=st.integers(1, 4),
+        kh=st.integers(1, 4),
+        kw=st.integers(1, 4),
         stride=st.integers(1, 3),
         padding=st.integers(0, 2),
         relu=st.booleans(),
     )
-    def test_conv2d(self, n, c, h, f, k, stride, padding, relu):
-        assume(h + 2 * padding >= k)
-        rng = np.random.default_rng(n * 1000 + c * 100 + h * 10 + f + k + stride)
+    def test_conv2d(self, n, c, h, w, f, kh, kw, stride, padding, relu):
+        assume(h + 2 * padding >= kh and w + 2 * padding >= kw)
+        rng = np.random.default_rng([n, c, h, w, f, kh, kw, stride, padding])
         data = (
-            rng.normal(size=(n, c, h, h)).astype(np.float32),
-            rng.normal(size=(f, c, k, k)).astype(np.float32),
+            rng.normal(size=(n, c, h, w)).astype(np.float32),
+            rng.normal(size=(f, c, kh, kw)).astype(np.float32),
             rng.normal(size=(f,)).astype(np.float32),
         )
         activation = "relu" if relu else None
@@ -206,6 +214,20 @@ class TestScratchMeter:
             F.conv2d(x, w, stride=stride, padding=padding)
             assert workspace_stats() == {
                 "bytes_peak": conv_scratch_bytes(x_shape, w_shape, stride, padding)
+            }
+
+    def test_quant_conv2d_reports_its_scratch(self, rng):
+        for x_shape, w_shape, stride, padding in [
+            ((2, 3, 8, 8), (4, 3, 3, 3), 1, 1),
+            ((2, 8, 9, 9), (5, 8, 3, 3), 2, 1),
+            ((1, 4, 7, 7), (6, 4, 1, 1), 1, 0),  # pointwise: the cast columns
+        ]:
+            x = Tensor(rng.normal(size=x_shape).astype(np.float32))
+            qweight, scale = quantize_weight(rng.normal(size=w_shape).astype(np.float32))
+            reset_workspace_peak()
+            quant_conv2d(x, qweight, scale, stride=stride, padding=padding)
+            assert workspace_stats() == {
+                "bytes_peak": conv_scratch_bytes(x_shape, w_shape, stride, padding, int8=True)
             }
 
     def test_resnet56_probe_peak_is_one_kernel(self, monkeypatch):
