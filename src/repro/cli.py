@@ -416,7 +416,7 @@ def _format_cache_stats(stats: dict) -> str:
 def cmd_cache(args) -> int:
     import json
 
-    from .core.engine import cache_stats, prune_cache
+    from .core.stores import cache_stats, prune_cache
 
     if args.cache_command == "prune":
         stats = prune_cache(args.cache_dir, args.max_entries)

@@ -2,16 +2,10 @@
 
 from .api import AutoMC
 from .config import EvaluatorConfig
-from .engine import (
-    EvaluationEngine,
-    ResultCache,
-    WorkerError,
-    cache_stats,
-    plan_prefix_groups,
-    prune_cache,
-)
+from .engine import EvaluationEngine, WorkerError, plan_prefix_groups
 from .evaluator import (
     EvaluationResult,
+    ModelSnapshot,
     SchemeEvaluator,
     SurrogateEvaluator,
     TrainingEvaluator,
@@ -37,7 +31,7 @@ from .solver import (
     register_solver,
     run_solver,
 )
-from .snapshots import ModelSnapshot, ModelSnapshotStore
+from .stores import ModelSnapshotStore, ResultCache, cache_stats, prune_cache
 
 __all__ = [
     "AutoMC",

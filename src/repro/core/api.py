@@ -53,7 +53,7 @@ class AutoMC:
     results), and evaluations persist under ``cache_dir`` so repeated runs
     with the same model/dataset/seed/config skip already-paid simulated
     GPU-hours.  ``snapshot_dir`` adds the disk-backed
-    :class:`~repro.core.snapshots.ModelSnapshotStore`: trained prefix models
+    :class:`~repro.core.stores.ModelSnapshotStore`: trained prefix models
     are shared across workers and runs, so siblings of an evaluated scheme
     resume instead of replaying (results and charged costs are unchanged —
     only wall-clock drops).  ``snapshot_budget_mb`` caps the store's on-disk

@@ -62,7 +62,7 @@ class EvaluatorConfig:
     # load-dependent, so it is an *extra measured column*, never an input to
     # the deterministic quantities — it stays out of the fingerprint.
     latency_batch: Optional[int] = field(default=None, compare=False)
-    # Prefix-model snapshot store (repro.core.snapshots).  Presentation-layer
+    # Prefix-model snapshot store (repro.core.stores).  Presentation-layer
     # knobs: resuming a snapshot is bit-identical to replaying the prefix, so
     # neither field enters the fingerprint.  Carried in the config so engine
     # workers rebuild evaluators that share the same on-disk store.

@@ -15,15 +15,17 @@ and adds the two production-scale layers from the ROADMAP:
   streamed with ``as_completed`` and merged with deterministic cost
   accounting.  Routing prefers the lane that last evaluated a scheme's
   prefix, so worker-local model LRUs stay hot across rounds.
-* **Persistent result cache** — JSON files under ``cache_dir``, keyed by
-  scheme identifier + the evaluator :meth:`fingerprint`, so repeated runs
-  skip already-paid simulated GPU-hours across processes.  Bounded by a
-  max-entries cap with oldest-first pruning (see ``repro cache``).
+* **Persistent result cache** — a :class:`~repro.core.stores.ResultCache`
+  under ``cache_dir``, keyed by scheme identifier + the evaluator
+  :meth:`fingerprint`, so repeated runs skip already-paid simulated
+  GPU-hours across processes.  Bounded by a max-entries cap with
+  oldest-first pruning (see ``repro cache``).
 * **Shared snapshot store** — with ``config.snapshot_dir`` set on the
   wrapped evaluator, every worker lane consults the same disk-backed
-  :class:`~repro.core.snapshots.ModelSnapshotStore`, so a prefix trained by
+  :class:`~repro.core.stores.ModelSnapshotStore`, so a prefix trained by
   one worker is resumed (not replayed) by every other worker, by recycled
-  pools, and by later runs.
+  pools, and by later runs.  Both tiers are one keyed disk store
+  (:mod:`repro.core.stores`) with different codecs.
 
 Determinism guarantee: a parallel run is *bit-identical* to a serial one.
 Per-step RNG seeds are derived from stable digests of sub-scheme
@@ -44,22 +46,17 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import threading
 import traceback
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..compression import StepReport
 from ..obs import NULL_TRACER
 from ..space.scheme import CompressionScheme
 from .evaluator import EvaluationResult
-
-#: default ResultCache size cap (one JSON file per evaluated scheme)
-DEFAULT_CACHE_ENTRIES = 10_000
+from .stores import DEFAULT_CACHE_ENTRIES, ResultCache
 
 
 class WorkerError(RuntimeError):
@@ -414,215 +411,6 @@ class LanePool:
 
 
 # ---------------------------------------------------------------------------
-# persistent cache
-# ---------------------------------------------------------------------------
-
-
-class ResultCache:
-    """On-disk evaluation results, keyed by evaluator fingerprint + scheme.
-
-    Layout: ``cache_dir/<fingerprint[:16]>/<sha256(identifier)[:24]>.json``.
-    One JSON file per result keeps writes atomic (tmp file + ``os.replace``)
-    and lets concurrent runs share a directory without locking.  JSON floats
-    round-trip exactly (``repr`` based), so a cache hit reproduces the
-    original result bit-for-bit.
-
-    ``max_entries`` caps the number of result files in this fingerprint's
-    directory; when a put pushes past it, the oldest entries (file mtime,
-    refreshed on every hit) are pruned first.  ``None`` disables the cap.
-
-    One instance can be shared by several engines (the serve scheduler hands
-    one cache to every job): ``written_ids`` tracks the identifiers *this*
-    instance wrote, so a hit on an entry written elsewhere — another job,
-    another process, a previous run — is detectable as a *foreign* hit, the
-    result-level analogue of snapshot ``written_ids`` foreign-hit tracking.
-    """
-
-    def __init__(
-        self,
-        cache_dir,
-        fingerprint: str,
-        max_entries: Optional[int] = DEFAULT_CACHE_ENTRIES,
-    ):
-        self.root = Path(cache_dir) / fingerprint[:16]
-        self.fingerprint = fingerprint
-        self.max_entries = max_entries
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._entry_count: Optional[int] = None  # lazy; maintained on put
-        #: identifiers written through this instance (foreign-hit detection)
-        self.written_ids: set = set()
-
-    def _path(self, identifier: str) -> Path:
-        digest = hashlib.sha256(identifier.encode("utf-8")).hexdigest()[:24]
-        return self.root / f"{digest}.json"
-
-    def get(self, scheme: CompressionScheme) -> Optional[EvaluationResult]:
-        path = self._path(scheme.identifier)
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-        if payload.get("identifier") != scheme.identifier:  # digest collision
-            return None
-        try:
-            os.utime(path)  # mark as recently used for oldest-first pruning
-        except OSError:
-            pass
-        return EvaluationResult(
-            scheme=scheme,
-            params=payload["params"],
-            flops=payload["flops"],
-            accuracy=payload["accuracy"],
-            base_params=payload["base_params"],
-            base_flops=payload["base_flops"],
-            base_accuracy=payload["base_accuracy"],
-            cost=payload["cost"],
-            step_reports=[StepReport(**r) for r in payload["step_reports"]],
-            step_costs=list(payload["step_costs"]),
-            latency_ms=payload.get("latency_ms", 0.0),
-            workspace_bytes_peak=payload.get("workspace_bytes_peak", 0),
-        )
-
-    def put(self, result: EvaluationResult) -> None:
-        payload = {
-            "identifier": result.scheme.identifier,
-            "params": result.params,
-            "flops": result.flops,
-            "accuracy": result.accuracy,
-            "base_params": result.base_params,
-            "base_flops": result.base_flops,
-            "base_accuracy": result.base_accuracy,
-            "cost": result.cost,  # informational; hits are re-charged at zero
-            "step_costs": result.step_costs,
-            "step_reports": [asdict(r) for r in result.step_reports],
-            "latency_ms": result.latency_ms,
-            "workspace_bytes_peak": result.workspace_bytes_peak,
-        }
-        self.written_ids.add(result.scheme.identifier)
-        path = self._path(result.scheme.identifier)
-        existed = path.exists()
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        if not existed:
-            if self._entry_count is None:
-                self._entry_count = _count_results(self.root)
-            else:
-                self._entry_count += 1
-            if self.max_entries is not None and self._entry_count > self.max_entries:
-                removed = _prune_dir(self.root, self.max_entries, keep=path)
-                self._entry_count -= removed
-
-    def stats(self) -> dict:
-        """Point-in-time accounting for this fingerprint's cache directory."""
-        return _dir_stats(self.root)
-
-
-# -- cache maintenance (shared by ResultCache and the `repro cache` CLI) ----
-
-
-def _result_entries(root: Path):
-    """(mtime, size, path) for every result JSON under ``root``, oldest first."""
-    entries = []
-    try:
-        names = os.listdir(root)
-    except OSError:
-        return []
-    for name in names:
-        if not name.endswith(".json"):
-            continue
-        path = Path(root) / name
-        try:
-            stat = path.stat()
-        except OSError:
-            continue
-        entries.append((stat.st_mtime, stat.st_size, path))
-    entries.sort(key=lambda e: (e[0], e[2].name))
-    return entries
-
-
-def _count_results(root: Path) -> int:
-    try:
-        return sum(1 for name in os.listdir(root) if name.endswith(".json"))
-    except OSError:
-        return 0
-
-
-def _dir_stats(root: Path) -> dict:
-    entries = _result_entries(root)
-    return {
-        "root": str(root),
-        "entries": len(entries),
-        "bytes": sum(size for _, size, _ in entries),
-    }
-
-
-def _prune_dir(root: Path, max_entries: int, keep: Optional[Path] = None) -> int:
-    """Delete oldest result files until at most ``max_entries`` remain.
-
-    ``keep`` (the entry just written) is never deleted.  Returns the number
-    of files actually removed.
-    """
-    entries = _result_entries(root)
-    removed = 0
-    excess = len(entries) - max(0, max_entries)
-    for _, _, path in entries:
-        if excess <= 0:
-            break
-        if keep is not None and path == keep:
-            continue
-        try:
-            path.unlink()
-        except OSError:
-            continue
-        removed += 1
-        excess -= 1
-    return removed
-
-
-def cache_stats(cache_dir) -> dict:
-    """Aggregate accounting for every fingerprint directory under ``cache_dir``."""
-    cache_dir = Path(cache_dir)
-    fingerprints = []
-    if cache_dir.is_dir():
-        for child in sorted(cache_dir.iterdir()):
-            if child.is_dir():
-                fingerprints.append(_dir_stats(child))
-    return {
-        "cache_dir": str(cache_dir),
-        "fingerprints": fingerprints,
-        "entries": sum(f["entries"] for f in fingerprints),
-        "bytes": sum(f["bytes"] for f in fingerprints),
-    }
-
-
-def prune_cache(cache_dir, max_entries: int) -> dict:
-    """Prune every fingerprint directory to ``max_entries`` results, oldest first.
-
-    The cap applies *per fingerprint* (matching ``ResultCache``'s own cap, so
-    one busy configuration cannot starve another's cache).  Returns the
-    post-prune :func:`cache_stats` with a ``removed`` total added.
-    """
-    cache_dir = Path(cache_dir)
-    removed = 0
-    if cache_dir.is_dir():
-        for child in sorted(cache_dir.iterdir()):
-            if child.is_dir():
-                removed += _prune_dir(child, max_entries)
-    stats = cache_stats(cache_dir)
-    stats["removed"] = removed
-    return stats
-
-
-# ---------------------------------------------------------------------------
 # engine
 # ---------------------------------------------------------------------------
 
@@ -688,7 +476,7 @@ class EvaluationEngine:
         )
         self.cache_hits = 0
         #: disk hits on entries this engine's cache instance did not write —
-        #: cross-job/cross-run result dedup (mirrors snapshot_foreign_hits)
+        #: cross-job/cross-run result dedup (as snapshot_foreign_hits is for prefixes)
         self.cache_foreign_hits = 0
         self.fresh_evaluations = 0
         self.worker_failures = 0

@@ -14,7 +14,7 @@ protocol):
 Both cache results by scheme identifier and keep an LRU of compressed model
 snapshots so progressive search can extend an evaluated scheme without
 re-running its prefix.  With ``config.snapshot_dir`` set, a disk-backed
-:class:`~repro.core.snapshots.ModelSnapshotStore` acts as a second tier
+:class:`~repro.core.stores.ModelSnapshotStore` acts as a second tier
 below the in-memory LRU: trained prefix states survive across worker
 processes, pool recycles and whole runs, and every prefix reached during a
 replay is snapshotted so siblings resume instead of replaying.  Resuming is
@@ -41,7 +41,7 @@ import json
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,7 +55,9 @@ from ..obs import NULL_TRACER
 from ..sim.accuracy import AccuracyModel
 from ..space.scheme import CompressionScheme
 from .config import EvaluatorConfig
-from .snapshots import ModelSnapshot, ModelSnapshotStore
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .stores import ModelSnapshotStore
 
 #: simulated GPU-hours per (epoch x GFLOP x full-dataset) of training
 EPOCH_COST_HOURS = 0.01
@@ -129,6 +131,17 @@ class EvaluationResult:
             f"acc {100 * self.accuracy:.2f}% (AR {100 * self.ar:+.2f}%) | "
             f"{self.scheme.identifier}"
         )
+
+
+@dataclass
+class ModelSnapshot:
+    """Everything needed to resume evaluation from a trained prefix model."""
+
+    identifier: str
+    model: Module
+    accuracy: float                       # backend-native accuracy carry
+    step_reports: List[StepReport] = field(default_factory=list)
+    step_costs: List[float] = field(default_factory=list)
 
 
 class SchemeEvaluator:
@@ -207,6 +220,8 @@ class SchemeEvaluator:
         if not self._snapshot_store_ready:
             self._snapshot_store_ready = True
             if self.config.snapshot_dir is not None:
+                from .stores import ModelSnapshotStore
+
                 budget = self.config.snapshot_budget_mb
                 self._snapshot_store = ModelSnapshotStore(
                     self.config.snapshot_dir,
@@ -251,12 +266,9 @@ class SchemeEvaluator:
             self._model_cache.popitem(last=False)
         store = self.snapshot_store
         if persist and store is not None:
-            before = store.bytes_written
             with self.tracer.span("snapshot.save", prefix=key):
-                store.put(snapshot)
-            self.tracer.metrics.counter("snapshot.bytes_written").inc(
-                store.bytes_written - before
-            )
+                written = store.put(snapshot)
+            self.tracer.metrics.counter("snapshot.bytes_written").inc(written)
 
     def _longest_cached_prefix(
         self, scheme: CompressionScheme

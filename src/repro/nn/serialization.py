@@ -6,8 +6,8 @@ model with the *same structure* (use :func:`save_model` / :func:`load_model`
 around a compression run, or re-apply the scheme to rebuild the structure).
 
 :func:`save_module` / :func:`load_module` serialize the *full* module —
-structure and state together — which is what the
-:class:`~repro.core.snapshots.ModelSnapshotStore` needs: a compressed
+structure and state together — and are the codec of the
+:class:`~repro.core.stores.ModelSnapshotStore`, which needs them: a compressed
 prefix model cannot be rebuilt from a state dict alone because the surgery
 that produced its structure is exactly the work the snapshot exists to skip.
 """

@@ -23,9 +23,10 @@ from __future__ import annotations
 import json
 import os
 import socket
-import tempfile
 from pathlib import Path
 from typing import Iterator, Optional
+
+from ..core.stores import atomic_write
 
 #: endpoint discovery file inside the daemon's state directory
 ENDPOINT_FILE = "serve.json"
@@ -89,17 +90,7 @@ def write_endpoint(state_dir, host: str, port: int) -> Path:
     path = endpoint_path(state_dir)
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {"host": host, "port": port, "pid": os.getpid()}
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    atomic_write(path, lambda tmp: Path(tmp).write_text(json.dumps(payload)))
     return path
 
 

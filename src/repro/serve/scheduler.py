@@ -123,7 +123,7 @@ class JobScheduler:
         states: Dict[str, int] = {}
         for record in self.table.list():
             states[record.state] = states.get(record.state, 0) + 1
-        from ..core.engine import cache_stats
+        from ..core.stores import cache_stats
 
         return {
             "jobs": states,

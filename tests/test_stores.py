@@ -126,13 +126,12 @@ def test_identifier_mismatch_is_a_kept_miss(tmp_path, kind, schemes):
     assert kind.get(store, written) is not None
 
 
-def test_unreadable_file_is_a_miss(tmp_path, kind):
+def test_unreadable_file_is_a_deleted_miss(tmp_path, kind):
     store = kind.open(tmp_path)
     path = store._path(PINNED_ID)
     path.write_bytes(b"\x00 neither json nor a pickle")
     assert kind.get(store, PINNED_ID) is None
-    if isinstance(kind, Snapshots):
-        assert not path.exists()
+    assert not path.exists()
 
 
 def test_eviction_is_oldest_first_and_spares_the_new_entry(tmp_path, kind, schemes):
