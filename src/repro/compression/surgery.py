@@ -188,9 +188,6 @@ class PruningPlan:
     keep: Dict[str, np.ndarray]
     params_removed: int
 
-    def removed_fraction(self, total_params: int) -> float:
-        return self.params_removed / max(total_params, 1)
-
 
 def greedy_removal(
     scores: np.ndarray,

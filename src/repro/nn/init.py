@@ -14,16 +14,3 @@ def kaiming_normal(shape, fan_in: int, rng: np.random.Generator) -> np.ndarray:
 def kaiming_uniform(shape, fan_in: int, rng: np.random.Generator) -> np.ndarray:
     bound = np.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape)
-
-
-def xavier_uniform(shape, fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def zeros(shape) -> np.ndarray:
-    return np.zeros(shape)
-
-
-def ones(shape) -> np.ndarray:
-    return np.ones(shape)

@@ -56,16 +56,6 @@ class JournalSummary:
         value = self.run.get("solver")
         return value if isinstance(value, str) else None
 
-    @property
-    def evaluation_outcomes(self) -> int:
-        """Schemes that produced a result or a rejection, however cheaply."""
-        return (
-            self.fresh_evaluations
-            + self.cache_hits_memory
-            + self.cache_hits_disk
-            + self.lint_rejects
-        )
-
     def format(self) -> str:
         # An empty or headerless journal has no schema to report; a crashed
         # run may leave exactly that behind, and the summary must stay usable.
