@@ -101,22 +101,30 @@ class StrategySpace:
         self.identifiers: List[str] = []
         self._by_id: Dict[str, CompressionStrategy] = {}
         self._blocks: Dict[str, Tuple[int, int]] = {}
+        param_steps: List[float] = []
         for label in self.method_labels:
             hp_names = METHOD_HPS[label]
+            grids = [HP_GRID[name] for name in hp_names]
+            # each "HPn=value" item is formatted once per grid value, and the
+            # identifier is joined from them in the order product yields
+            items = [[f"{name}={value}" for value in grid] for name, grid in zip(hp_names, grids)]
+            hp2 = hp_names.index("HP2") if "HP2" in hp_names else None
             start = len(self._strategies)
-            for values in itertools.product(*(HP_GRID[name] for name in hp_names)):
+            for values, texts in zip(itertools.product(*grids), itertools.product(*items)):
                 strategy = CompressionStrategy(
                     method_label=label,
                     hp_items=tuple(zip(hp_names, values)),
                     index=len(self._strategies),
                 )
-                identifier = strategy.identifier
+                identifier = f"{label}[{','.join(texts)}]"
+                strategy.__dict__["identifier"] = identifier  # seeds the cached_property
                 self._strategies.append(strategy)
                 self.identifiers.append(identifier)
                 self._by_id[identifier] = strategy
+                param_steps.append(0.0 if hp2 is None else float(values[hp2]))
             self._blocks[label] = (start, len(self._strategies))
         #: read-only float64 array of every strategy's ``param_step`` (HP2)
-        self.param_steps = np.array([s.param_step for s in self._strategies], dtype=np.float64)
+        self.param_steps = np.array(param_steps, dtype=np.float64)
         self.param_steps.setflags(write=False)
         self._hp_columns: Dict[str, Tuple[np.ndarray, Dict[str, np.ndarray]]] = {}
 

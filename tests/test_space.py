@@ -87,6 +87,11 @@ class TestStrategy:
                     (name, HP_GRID[name][p]) for name, p in zip(METHOD_HPS[label], row)
                 )
 
+    def test_space_identifiers_match_freshly_formatted_ones(self):
+        extended = StrategySpace(include_quantization=True)
+        fresh = [make_strategy(s.method_label, s.hp).identifier for s in extended]
+        assert fresh == extended.identifiers
+
     def test_quantization_extension_opt_in(self):
         extended = StrategySpace(include_quantization=True)
         assert len(extended) == 4230 + grid_size("C7") + grid_size("C8")
