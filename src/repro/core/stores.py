@@ -151,7 +151,6 @@ class DiskStore:
 
     def __init__(self, directory, fingerprint: str, suffix: str):
         self.root = Path(directory) / fingerprint[:16]
-        self.fingerprint = fingerprint
         self.suffix = suffix
         self.root.mkdir(parents=True, exist_ok=True)
         #: identifiers this instance wrote; a hit outside it is foreign
@@ -171,7 +170,7 @@ class DiskStore:
             stored, value = decode(path)
         except FileNotFoundError:
             return None
-        except Exception:
+        except Exception:  # truncated write, foreign data: any decode error
             _unlink(path)
             return None
         if stored != identifier:  # digest collision

@@ -99,14 +99,6 @@ def test_file_name_is_pinned(tmp_path, kind):
     assert path.exists()
 
 
-def test_round_trip_hits(tmp_path, kind, schemes):
-    store = kind.open(tmp_path)
-    for scheme in schemes:
-        kind.put(store, scheme.identifier)
-    for scheme in schemes:
-        assert kind.get(store, scheme.identifier) is not None
-
-
 def test_failing_encoder_leaves_nothing(tmp_path, kind):
     store = kind.open(tmp_path)
     with pytest.raises(Exception):
