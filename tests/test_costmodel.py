@@ -11,6 +11,7 @@ Three layers of guarantees:
 """
 
 import copy
+import itertools
 import json
 import os
 
@@ -22,10 +23,47 @@ from repro.core.config import EvaluatorConfig
 from repro.data.tasks import EXP1, transfer_task
 from repro.models import available_models, create_model, resnet20
 from repro.space import StrategySpace
+from repro.space.hyperparams import HP_GRID
 
 from .test_profile import apply_scheme, reference_profile
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "goldens", "costmodel_tolerance.json")
+PREDICTIONS = os.path.join(os.path.dirname(__file__), "goldens", "cost_predictions.json")
+
+#: schemes whose predictions are pinned byte for byte: every method, every
+#: C2 criterion and evolution budget, every C5 aggregation, chains of 2 and 3
+PREDICTED_SCHEMES = [
+    "C1[HP1=0.1,HP2=0.28,HP4=3,HP5=0.3]",
+    "C1[HP1=0.1,HP2=0.44,HP4=3,HP5=0.3]",
+    *(
+        f"C2[HP1=0.1,HP2={hp2},HP6={hp6},HP7={hp7},HP8={hp8}]"
+        for (hp7, hp8), hp2, hp6 in zip(
+            itertools.product(HP_GRID["HP7"], HP_GRID["HP8"]),
+            itertools.cycle([0.12, 0.28, 0.44, 0.2]),
+            itertools.cycle([0.7, 0.9]),
+        )
+    ),
+    "C3[HP1=0.1,HP2=0.12,HP6=0.7]",
+    "C3[HP1=0.1,HP2=0.44,HP6=0.9]",
+    "C4[HP2=0.28,HP9=0.1,HP10=3]",
+    *(
+        f"C5[HP1=0.1,HP2=0.28,HP11={hp11},HP12={hp12},HP13=0.3,HP14=1]"
+        for hp11, hp12 in itertools.product(HP_GRID["HP11"], HP_GRID["HP12"])
+    ),
+    "C6[HP1=0.1,HP2=0.04,HP15=1,HP16=CE]",
+    "C6[HP1=0.1,HP2=0.44,HP15=1,HP16=CE]",
+    "C7[HP1=0.1,HP17=3,HP18=0.5]",
+    "C8[HP19=int8,HP20=2]",
+    "C8[HP19=fp16,HP20=2]",
+    "C3[HP1=0.1,HP2=0.12,HP6=0.7] -> C5[HP1=0.1,HP2=0.2,HP11=P2,HP12=l1norm,HP13=0.3,HP14=1]",
+    "C5[HP1=0.1,HP2=0.2,HP11=P1,HP12=k34,HP13=0.3,HP14=1] -> C2[HP1=0.1,HP2=0.2,HP6=0.9,HP7=0.5,HP8=l2_weight]",
+    "C2[HP1=0.1,HP2=0.2,HP6=0.7,HP7=0.6,HP8=l1_weight] -> C6[HP1=0.1,HP2=0.2,HP15=1,HP16=CE]",
+    "C1[HP1=0.1,HP2=0.12,HP4=3,HP5=0.3] -> C4[HP2=0.2,HP9=0.1,HP10=3] -> C8[HP19=int8,HP20=2]",
+    "C3[HP1=0.1,HP2=0.12,HP6=0.9] -> C2[HP1=0.1,HP2=0.2,HP6=0.9,HP7=0.4,HP8=l2_bn_param]"
+    " -> C7[HP1=0.1,HP17=5,HP18=0.5]",
+    "C6[HP1=0.1,HP2=0.12,HP15=1,HP16=CE] -> C5[HP1=0.1,HP2=0.12,HP11=P3,HP12=l1norm,HP13=0.3,HP14=1]"
+    " -> C3[HP1=0.1,HP2=0.12,HP6=0.7]",
+]
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +108,28 @@ def test_post_scheme_within_tolerance(name, golden, space):
         drift_flops = 100.0 * abs(predicted.flops - measured.flops) / measured.flops
         assert drift_params <= golden["params_pct"], (name, text, drift_params)
         assert drift_flops <= golden["flops_pct"], (name, text, drift_flops)
+
+
+@pytest.mark.parametrize("name", available_models())
+def test_predictions_match_goldens(name, space, update_goldens):
+    """Every field of each pinned scheme's prediction, exactly."""
+    cost_model = SchemeCostModel(create_model(name))
+    predicted = {
+        text: cost_model.predict(space.parse_scheme(text)).to_payload()
+        for text in PREDICTED_SCHEMES
+    }
+    if update_goldens:
+        goldens = {}
+        if os.path.exists(PREDICTIONS):
+            with open(PREDICTIONS) as handle:
+                goldens = json.load(handle)
+        goldens[name] = predicted
+        with open(PREDICTIONS, "w") as handle:
+            handle.write(json.dumps(goldens, indent=2, sort_keys=True) + "\n")
+        pytest.skip(f"cost predictions for {name} regenerated; review the diff")
+
+    with open(PREDICTIONS) as handle:
+        assert predicted == json.load(handle)[name]
 
 
 def test_quantization_affects_weight_memory_only(space):
