@@ -7,14 +7,10 @@ timed in the same run, interleaved with the quantized modes, on the same
 model, batch and data, so the gate does not depend on the machine class.
 Kernel exactness and whole-model int8/fp16 accuracy are tier-1 tests
 (``tests/test_quant_properties.py``).
-
-``REPRO_BENCH_SMOKE=1`` shrinks the workload; the fp16 gate is skipped
-there because smoke-sized timings are dominated by Python dispatch.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Dict
 
@@ -25,18 +21,11 @@ from repro.models import ResNet
 from repro.nn import Tensor, no_grad
 from repro.nn.quant import quantize_module
 
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") == "1"
-
 #: float32 vs fp16 vs int8 on the same model and batch.
-QUANT_WORKLOADS = {
-    "full": {"batch": 32, "depth": 56, "calibration_batches": 2},
-    "smoke": {"batch": 4, "depth": 8, "calibration_batches": 1},
-}
+QUANT_WORKLOAD = {"batch": 32, "depth": 56, "calibration_batches": 2}
 
 
-def run_quant_benchmarks(
-    smoke: bool = False, repeats: int = 5, seed: int = 0
-) -> Dict[str, float]:
+def run_quant_benchmarks(repeats: int = 5, seed: int = 0) -> Dict[str, float]:
     """Time grad-free inference in float32 vs fp16 vs int8 on one ResNet.
 
     All three runs share the model architecture, batch and input data; only
@@ -44,7 +33,7 @@ def run_quant_benchmarks(
     The int8 run is calibrated on random batches — calibration quality only
     affects accuracy, never speed, so random data is fine for timing.
     """
-    sizes = QUANT_WORKLOADS["smoke" if smoke else "full"]
+    sizes = QUANT_WORKLOAD
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(sizes["batch"], 3, 32, 32)).astype(np.float32)
     calibration = [
@@ -82,7 +71,7 @@ def run_quant_benchmarks(
 
 @pytest.fixture(scope="module")
 def quant_results():
-    return run_quant_benchmarks(smoke=SMOKE, repeats=3 if SMOKE else 5)
+    return run_quant_benchmarks()
 
 
 def test_quant_benchmarks_time_every_mode(quant_results):
@@ -95,7 +84,6 @@ def test_quant_benchmarks_time_every_mode(quant_results):
     assert all(seconds > 0 for seconds in quant_results.values())
 
 
-@pytest.mark.skipif(SMOKE, reason="smoke sizes are not comparable")
 def test_fp16_not_slower_than_float32(quant_results):
     """fp16 is storage-only; it must not materially slow inference down."""
     ratio = quant_results["inference_float32"] / quant_results["inference_fp16"]

@@ -11,44 +11,48 @@ A :class:`SchemeCostModel` evaluates a
 :class:`~repro.space.scheme.CompressionScheme` *symbolically*: starting from
 the :func:`~repro.analysis.graph.trace_model` graph of the base model, each
 strategy is applied as an *effect signature* — a transformation of abstract
-channel counts, factorisation ranks, and weight dtypes that mirrors the
-arithmetic of the real surgery in :mod:`repro.compression` without touching a
-single weight.  The result is a :class:`CostPrediction` of post-scheme
-parameters, FLOPs, peak activation memory, and a latency proxy, obtained in
-microseconds instead of the seconds-to-minutes a real surgery+profile costs.
+channel counts, factorisation ranks, and weight dtypes that calls the
+planning rules of the real surgery in :mod:`repro.compression` without
+touching a single weight.  The result is a :class:`CostPrediction` of
+post-scheme parameters, FLOPs, peak activation memory, and a latency proxy,
+obtained in microseconds instead of the seconds-to-minutes a real
+surgery+profile costs.
 
-Effect signatures per method (the concrete algorithms they abstract):
+Effect signatures per method, with the executed code each one calls (every
+ratio, share and floor is read from the method object in
+:data:`repro.compression.METHODS` or from :mod:`repro.compression.surgery`):
 
 ====== ===============================================================
 method effect on the abstract model
 ====== ===============================================================
-C1     :func:`~repro.compression.surgery.uniform_width_scale`: every
-       prunable unit loses ``floor(n * fraction)`` channels, then a
-       global top-up closes the residual budget.
-C2/C3  global greedy pruning to ``round(HP2 * P(M))`` parameters with
-       per-unit floor ``max(1, ceil(n * (1 - HP6)))``; iterated like
-       :func:`~repro.compression.surgery.prune_by_scores` (3 rounds,
-       2% stop rule).
-C4     same with the SFP hard-prune ratio 0.9.
-C5     half the budget pruned (ratio 0.9), the rest taken by Tucker-2
-       factorisation of the largest kernels using the *exact*
-       :func:`~repro.compression.hooi.choose_tucker_ranks` arithmetic.
-C6     filter-basis factorisation largest-first with the exact LFB
-       basis-size formula.
+C1     :func:`~repro.compression.surgery.drop_uniformly`, the per-unit
+       drop of ``uniform_width_scale``, then a global top-up through
+       :func:`~repro.compression.surgery.greedy_removal`.
+C2     :meth:`~repro.compression.legr.LeGR.evolve` over a
+       :class:`~repro.compression.legr.GlobalRanking` of expected scores,
+       for :meth:`~repro.compression.legr.LeGR.generations`, then the
+       LeGR top-up.
+C3     :func:`~repro.compression.surgery.prune_in_rounds` (the rounds and
+       stop rule of ``prune_by_scores``) around ``greedy_removal``.
+C4     the same at SFP's ratio.
+C5     HOS's share of the budget pruned the same way, the rest taken by
+       Tucker-2 factorisation of the largest kernels at the ranks of
+       :func:`~repro.compression.hos.saving_ranks`.
+C6     filter-basis factorisation largest-first at the sizes of
+       :func:`~repro.compression.lfb.choose_basis_size`.
 C7     parameters/FLOPs unchanged; effective weight width becomes
        HP17 bits (weight-memory prediction only).
-C8     parameters/FLOPs unchanged; effective weight width becomes 8
-       (``HP19="int8"``) or 16 (``HP19="fp16"``) bits, matching the
-       executed precision of :func:`repro.nn.quant.quantize_module`.
+C8     parameters/FLOPs unchanged; effective weight width is
+       :data:`repro.nn.quant.MODE_BITS` of HP19, the width the executed
+       quantized layers report.
 ====== ===============================================================
 
 Channel scores are weight-dependent, but their *order statistics* at init are
 not: the abstraction models each criterion's removal order (proportional
-interleaving, unit-order drain for tied BN gammas, expensive-units-first for
-LeGR's retained-mass fitness — see :func:`_prune_mode`).  Parameter
-predictions are budget-driven and tight; FLOPs depend on *which* layers lose
-channels, so their tolerance is validated (and pinned) against measured
-post-surgery profiles in the golden tests.
+interleaving, unit-order drain for tied BN gammas — see :func:`_prune_mode`).
+Parameter predictions are budget-driven and tight; FLOPs depend on *which*
+layers lose channels, so their tolerance is validated (and pinned) against
+measured post-surgery profiles in the golden tests.
 
 :class:`Budget` turns predictions into the ``S###`` feasibility rules used by
 :func:`repro.analysis.linter.lint_scheme` and the evaluators:
@@ -71,8 +75,19 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..compression.hooi import choose_tucker_ranks, tucker2_params
-from ..compression.surgery import channel_limits, greedy_removal
+from ..compression import METHODS, ExecutionContext
+from ..compression.hooi import tucker2_params
+from ..compression.hos import saving_ranks
+from ..compression.legr import GlobalRanking
+from ..compression.lfb import basis_params, choose_basis_size
+from ..compression.surgery import (
+    UNIFORM_MAX_RATIO,
+    channel_limits,
+    drop_uniformly,
+    greedy_removal,
+    prune_in_rounds,
+)
+from ..nn.quant import MODE_BITS
 from ..space.scheme import CompressionScheme
 from .diagnostics import Report
 from .graph import ModelGraph, trace_model
@@ -258,7 +273,7 @@ class _Op:
             p = tucker2_params(self.out_ch, self.in_ch, self.kernel, self.r_out, self.r_in)
             return p + (self.out_ch if self.bias else 0)
         if self.kind == "basis":
-            p = self.basis * self.in_ch * self.kernel * self.kernel + self.out_ch * self.basis
+            p = basis_params(self.out_ch, self.in_ch, self.kernel, self.basis)
             return p + (self.out_ch if self.bias else 0)
         if self.kind == "bn":
             return 2 * self.out_ch  # gamma + beta; running stats are buffers
@@ -551,19 +566,14 @@ def _blom_positions(n: int) -> List[float]:
 #:                     are nearly fan-in free but spreads shrink with fan-in,
 #:                     so small-fan-in units contribute the global low tail;
 #: ``l1_norm``         filter l1 norms: ~N(2 sqrt(d/pi), sqrt(2(1 - 2/pi)))
-#:                     — means grow with fan-in, draining small-fan-in units;
-#: ``drain_expensive`` removal concentrates on the highest params-per-channel
-#:                     units first (LeGR's retained-mass proxy prefers
-#:                     removing few, expensive channels).
-_PLAN_MODES = ("proportional", "drain", "l2_norm", "l1_norm", "drain_expensive")
+#:                     — means grow with fan-in, draining small-fan-in units.
+_PLAN_MODES = ("proportional", "drain", "l2_norm", "l1_norm")
 
 
-def _expected_scores(mode: str, n: int, fan_in: int, cost: int) -> List[float]:
+def _expected_scores(mode: str, n: int, fan_in: int) -> List[float]:
     """Ascending expected channel scores for one unit under ``mode``."""
     if mode == "drain":
         return [0.0] * n
-    if mode == "drain_expensive":
-        return [-float(cost)] * n
     positions = _blom_positions(n)
     if mode == "l2_norm":
         mean = math.sqrt(2.0) * (1.0 - 1.0 / (4.0 * max(fan_in, 1)))
@@ -576,93 +586,60 @@ def _expected_scores(mode: str, n: int, fan_in: int, cost: int) -> List[float]:
     return positions  # proportional: common distribution, quantiles suffice
 
 
-def _plan_removal(
-    model: AbstractModel,
-    units: Sequence[_Unit],
-    budget: int,
-    max_ratio: float,
-    min_channels: int = 1,
-    mode: str = "proportional",
-) -> Tuple[List[int], int]:
-    """Mirror of ``plan_global_pruning`` over expected score order statistics.
+def _prune_once(
+    model: AbstractModel, budget: int, max_ratio: float, mode: str = "proportional"
+) -> int:
+    """One ``plan_global_pruning`` pass over expected score order statistics.
 
     Runs the real planner's greedy (:func:`greedy_removal`: ascending-score
     order with frozen per-unit costs, per-unit floors, and a stop-at-budget
-    rule) with each unit's scores replaced by their expected order
-    statistics under ``mode`` (see ``_PLAN_MODES``).  Returns per-unit drop
-    counts and the planned parameter removal (overshoot bounded by one
-    channel, like the greedy).
+    rule) over the active units, with each unit's scores replaced by their
+    expected order statistics under ``mode`` (see ``_PLAN_MODES``), and
+    drops the planned channels.  Returns the planned parameter removal
+    (overshoot bounded by one channel, like the greedy).
     """
+    units = model.active_units()
+    if not units:
+        return 0
     n = [model.unit_channels(u) for u in units]
-    costs = [model.params_per_channel(u) for u in units]
     scores = [
         value
         for i, unit in enumerate(units)
-        for value in _expected_scores(mode, n[i], model.unit_fan_in(unit), costs[i])
+        for value in _expected_scores(mode, n[i], model.unit_fan_in(unit))
     ]
     dropped, removed = greedy_removal(
         np.asarray(scores, dtype=np.float64),
         n,
-        channel_limits(n, max_ratio, min_channels),
-        costs,
+        channel_limits(n, max_ratio),
+        [model.params_per_channel(u) for u in units],
         budget,
     )
-    return [int(mask.sum()) for mask in np.split(dropped, np.cumsum(n))[:-1]], removed
+    for unit, mask in zip(units, np.split(dropped, np.cumsum(n))[:-1]):
+        model.drop_channels(unit, int(mask.sum()))
+    return removed
 
 
 def _abstract_prune(
-    model: AbstractModel,
-    budget: int,
-    max_ratio: float,
-    rounds: int = 3,
-    mode: str = "proportional",
+    model: AbstractModel, budget: int, max_ratio: float, mode: str = "proportional"
 ) -> int:
-    """Mirror of ``prune_by_scores``: plan/apply/re-measure up to 3 rounds."""
-    if budget <= 0:
-        return 0
-    start = model.params()
-    for _ in range(max(rounds, 1)):
-        removed = start - model.params()
-        remaining = budget - removed
-        if remaining <= max(0.02 * budget, 1):
-            break
-        units = model.active_units()
-        if not units:
-            break
-        drops, planned = _plan_removal(model, units, remaining, max_ratio, mode=mode)
-        if planned == 0:
-            break
-        for unit, count in zip(units, drops):
-            model.drop_channels(unit, count)
-    return start - model.params()
+    """``prune_by_scores``: :func:`prune_in_rounds` of :func:`_prune_once`."""
+    return prune_in_rounds(
+        model.params, lambda remaining: _prune_once(model, remaining, max_ratio, mode), budget
+    )
 
 
-def _abstract_uniform_scale(
-    model: AbstractModel, budget: int, max_ratio: float = 0.95
-) -> int:
-    """Mirror of ``uniform_width_scale`` (C1's width shrink)."""
+def _abstract_uniform_scale(model: AbstractModel, budget: int) -> int:
+    """``uniform_width_scale`` (C1's width shrink): its :func:`drop_uniformly`,
+    then a greedy top-up over expected scores."""
     units = model.active_units()
     if not units or budget <= 0:
         return 0
-    total_prunable = sum(
-        model.params_per_channel(u) * model.unit_channels(u) for u in units
+    removed = drop_uniformly(
+        units, model.unit_channels, model.params_per_channel, model.drop_channels,
+        budget, UNIFORM_MAX_RATIO,
     )
-    fraction = min(max_ratio, budget / max(total_prunable, 1))
-    removed = 0
-    for unit in units:
-        n = model.unit_channels(unit)
-        n_drop = min(int(math.floor(n * fraction)), n - 1)
-        if n_drop <= 0:
-            continue
-        cost = model.params_per_channel(unit)
-        model.drop_channels(unit, n_drop)
-        removed += n_drop * cost
     if removed < budget:
-        units = model.active_units()
-        drops, planned = _plan_removal(model, units, budget - removed, max_ratio)
-        for unit, count in zip(units, drops):
-            model.drop_channels(unit, count)
-        removed += planned
+        removed += _prune_once(model, budget - removed, UNIFORM_MAX_RATIO)
     return removed
 
 
@@ -685,16 +662,16 @@ def _conv_candidates(model: AbstractModel, min_out: int, min_in: int) -> List[Tu
     return candidates
 
 
-def _abstract_tucker_factorize(model: AbstractModel, budget: int, min_channels: int = 8) -> int:
-    """Mirror of HOS ``_factorize``: exact rank-selection arithmetic."""
+def _abstract_tucker_factorize(model: AbstractModel, budget: int) -> int:
+    """HOS ``_factorize`` on the abstract ops, with its :func:`saving_ranks`."""
     if budget <= 0:
         return 0
+    floor = METHODS["C5"].min_channels_for_tucker
     saved = 0
-    for size, op in _conv_candidates(model, min_channels, min_channels):
+    for size, op in _conv_candidates(model, floor, floor):
         if saved >= budget:
             break
-        target = max(size - (budget - saved), size // 8)
-        r_out, r_in = choose_tucker_ranks(op.out_ch, op.in_ch, op.kernel, target)
+        r_out, r_in = saving_ranks(op.out_ch, op.in_ch, op.kernel, budget - saved)
         new_size = tucker2_params(op.out_ch, op.in_ch, op.kernel, r_out, r_in)
         if new_size >= size:
             continue
@@ -704,114 +681,58 @@ def _abstract_tucker_factorize(model: AbstractModel, budget: int, min_channels: 
     return saved
 
 
-def _abstract_basis_factorize(model: AbstractModel, budget: int, min_channels: int = 8) -> int:
-    """Mirror of LFB ``_factorize``: exact basis-size arithmetic."""
+def _abstract_basis_factorize(model: AbstractModel, budget: int) -> int:
+    """LFB ``_factorize`` on the abstract ops, with its :func:`choose_basis_size`."""
     if budget <= 0:
         return 0
     saved = 0
-    for size, op in _conv_candidates(model, min_channels, 1):
+    for size, op in _conv_candidates(model, METHODS["C6"].min_channels, 1):
         if saved >= budget:
             break
-        per_basis = op.in_ch * op.kernel * op.kernel + op.out_ch
-        b_max = max(1, size // per_basis - 1)
-        needed = budget - saved
-        b = (size - needed) // per_basis
-        b = max(1, min(int(b), b_max))
         op.kind = "basis"
-        op.basis = b
-        saved += size - (b * per_basis)
+        op.basis = choose_basis_size(op.out_ch, op.in_ch, op.kernel, budget - saved)
+        saved += size - basis_params(op.out_ch, op.in_ch, op.kernel, op.basis)
     return saved
 
 
-_LEGR_POPULATION = 8
-_LEGR_SAMPLES = 4
-_LEGR_MUTATION = 0.2
-_LEGR_MAX_GENERATIONS = 25
-#: ``ExecutionContext.pretrain_epochs`` default — resolves HP7's ``*n``
-_LEGR_PRETRAIN_EPOCHS = 10.0
-
-
 def _abstract_legr(
-    model: AbstractModel,
-    budget: int,
-    max_ratio: float,
-    criterion: str,
-    generations: int,
+    model: AbstractModel, budget: int, hp: Mapping[str, object], ctx: ExecutionContext
 ) -> int:
-    """Mirror of LeGR's no-train path on expected score order statistics.
+    """LeGR's no-train path on expected score order statistics.
 
-    The real C2 evolves per-unit affine transforms ``alpha * score + kappa``
-    whose fitness (with training disabled) is the fraction of criterion mass
-    the induced plan retains.  That fitness is computable symbolically from
-    the expected scores, so the abstraction replays the same regularised
-    evolution — same population size, tournament, mutation scale, and
-    generation budget — over the abstract score arrays (with a fixed seed:
-    the expectation of the stochastic search, not one draw of it).
+    With training disabled, the real C2's fitness is the fraction of
+    criterion mass the plan of a per-unit transform ``alpha * score +
+    kappa`` retains.  That is computable from the expected scores, so this
+    runs LeGR's own :meth:`~repro.compression.legr.LeGR.evolve` and
+    :class:`~repro.compression.legr.GlobalRanking` on them, drawing from the
+    default context's seeded generator: the expectation of the stochastic
+    search, not one draw of it.
     """
-    import numpy as np
-
     units = model.active_units()
     if not units or budget <= 0:
         return 0
+    legr = METHODS["C2"]
     start = model.params()
-    mode = "l1_norm" if criterion == "l1_weight" else "l2_norm"
-    n = [model.unit_channels(u) for u in units]
-    costs = [model.params_per_channel(u) for u in units]
-    limits = [max(1, int(math.ceil(ni * (1.0 - max_ratio)))) for ni in n]
-    base = [
-        np.asarray(
-            _expected_scores(mode, n[i], model.unit_fan_in(u), costs[i]),
-            dtype=np.float64,
-        )
-        for i, u in enumerate(units)
-    ]
-    total_mass = sum(float(s.sum()) for s in base) + 1e-12
-
-    def plan_for(alpha, kappa):
-        candidates = []
-        for i in range(len(units)):
-            for s in alpha[i] * base[i] + kappa[i]:
-                candidates.append((float(s), i))
-        candidates.sort(key=lambda t: t[0])
-        drops = [0] * len(units)
-        removed = 0
-        for _, i in candidates:
-            if removed >= budget:
-                break
-            if n[i] - drops[i] - 1 < limits[i]:
-                continue
-            drops[i] += 1
-            removed += costs[i]
-        # Scores are ascending per unit, so the dropped channels are each
-        # unit's lowest — retained mass is the tail sum.
-        retained = sum(float(base[i][drops[i]:].sum()) for i in range(len(units)))
-        return retained / total_mass, drops
-
-    rng = np.random.default_rng(0)
-    population = []
-    for _ in range(_LEGR_POPULATION):
-        alpha = np.abs(rng.normal(1.0, 0.1, size=len(units)))
-        kappa = rng.normal(0.0, 0.05, size=len(units))
-        fitness, drops = plan_for(alpha, kappa)
-        population.append((fitness, alpha, kappa, drops))
-    for _ in range(max(1, min(generations, _LEGR_MAX_GENERATIONS))):
-        for _ in range(_LEGR_SAMPLES):
-            sample = rng.choice(
-                len(population), size=min(3, len(population)), replace=False
-            )
-            parent = max((population[j] for j in sample), key=lambda t: t[0])
-            alpha = np.abs(parent[1] + rng.normal(0, _LEGR_MUTATION, size=len(units)))
-            kappa = parent[2] + rng.normal(0, _LEGR_MUTATION / 4, size=len(units))
-            fitness, drops = plan_for(alpha, kappa)
-            population.append((fitness, alpha, kappa, drops))
-            worst = min(range(len(population)), key=lambda j: population[j][0])
-            population.pop(worst)
-    best = max(population, key=lambda t: t[0])
-    for unit, count in zip(units, best[3]):
-        model.drop_channels(unit, count)
-    # Mirror the real top-up: one-shot plans undershoot on chain topologies.
+    max_ratio = float(hp["HP6"])
+    mode = "l1_norm" if hp["HP8"] == "l1_weight" else "l2_norm"
+    ranking = GlobalRanking(
+        [u.name for u in units],
+        [
+            np.asarray(_expected_scores(mode, model.unit_channels(u), model.unit_fan_in(u)))
+            for u in units
+        ],
+        [model.params_per_channel(u) for u in units],
+        budget,
+        max_ratio,
+    )
+    best = legr.evolve(
+        ranking.retained_fraction, len(units), legr.generations(hp, ctx), ctx.rng
+    )
+    dropped = ranking.removal(best.alpha, best.kappa)[0]
+    for unit, (first, end) in zip(units, ranking.spans):
+        model.drop_channels(unit, int(dropped[first:end].sum()))
     removed = start - model.params()
-    if removed < 0.98 * budget:
+    if removed < legr.top_up_below * budget:
         _abstract_prune(model, budget - removed, max_ratio, mode=mode)
     return start - model.params()
 
@@ -830,8 +751,8 @@ def _prune_mode(label: str, hp: Mapping[str, object]) -> str:
     - C5's raw ``P2``+``l1norm`` aggregation has means growing with fan-in
       (``l1_norm`` model); the z-scored/rank-normalised aggregations and the
       scale-free moment criteria interleave uniformly (``proportional``);
-    - C2 runs the LeGR evolution itself on the abstract scores (see
-      :func:`_abstract_legr`) and is dispatched before this lookup.
+    - C2 runs LeGR's evolution on the abstract scores (see
+      :func:`_abstract_legr`), so this lookup does not apply to it.
     """
     if label == "C3":
         return "drain"
@@ -845,42 +766,38 @@ def _prune_mode(label: str, hp: Mapping[str, object]) -> str:
 def apply_strategy(model: AbstractModel, strategy, base_params: int) -> None:
     """Apply one strategy's effect signature to ``model`` in place.
 
-    ``base_params`` is P(M) of the *original* model — HP2 budgets are always
-    relative to it, exactly like ``ExecutionContext.param_budget``.
+    ``base_params`` is P(M) of the *original* model.  The strategy is
+    resolved in a default training-free :class:`ExecutionContext`, as the
+    methods resolve it: HP2 budgets relative to ``base_params``, ``*n``
+    epochs over the default pre-training epochs, and a fresh seeded
+    generator.
     """
     label = strategy.method_label
     hp = strategy.hp
-    budget = int(round(float(hp.get("HP2", 0.0)) * base_params))
+    ctx = ExecutionContext(original_params=base_params, train_enabled=False)
+    budget = ctx.param_budget(float(hp.get("HP2", 0.0)))
     mode = _prune_mode(label, hp)
     if label == "C1":
         _abstract_uniform_scale(model, budget)
     elif label == "C2":
-        generations = int(
-            round(float(hp.get("HP7", 0.5)) * _LEGR_PRETRAIN_EPOCHS)
-        )
-        _abstract_legr(
-            model,
-            budget,
-            max_ratio=float(hp.get("HP6", 0.9)),
-            criterion=str(hp.get("HP8", "l2_weight")),
-            generations=generations,
-        )
+        _abstract_legr(model, budget, hp, ctx)
     elif label == "C3":
-        _abstract_prune(model, budget, max_ratio=float(hp.get("HP6", 0.9)), mode=mode)
+        _abstract_prune(model, budget, float(hp["HP6"]), mode=mode)
     elif label == "C4":
-        _abstract_prune(model, budget, max_ratio=0.9, mode=mode)
+        _abstract_prune(model, budget, METHODS["C4"].max_ratio, mode=mode)
     elif label == "C5":
+        hos = METHODS["C5"]
         removed = _abstract_prune(
-            model, int(round(budget * 0.5)), max_ratio=0.9, mode=mode
+            model, int(round(budget * hos.prune_share)), hos.max_ratio, mode=mode
         )
         _abstract_tucker_factorize(model, budget - removed)
     elif label == "C6":
         _abstract_basis_factorize(model, budget)
     elif label == "C7":
-        model.weight_bits = int(hp.get("HP17", DEFAULT_WEIGHT_BITS))
+        model.weight_bits = int(hp["HP17"])
     elif label == "C8":
         # Real PTQ: executed precision is exactly the mode's storage width.
-        model.weight_bits = 8 if str(hp.get("HP19", "int8")) == "int8" else 16
+        model.weight_bits = MODE_BITS[str(hp["HP19"])]
     else:
         raise ValueError(f"no effect signature for method {label!r}")
 

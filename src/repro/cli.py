@@ -799,21 +799,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "cache",
-        help="inspect / prune the persistent result cache",
-        description="Maintenance for the engine's on-disk result cache "
-                    "(the directory passed as --cache-dir / cache_dir=). "
-                    "'stats' reports per-fingerprint entry/byte counts; "
-                    "'prune' keeps the newest N results per fingerprint.",
+        help="inspect / prune the persistent result cache or snapshot store",
+        description="Maintenance for the engine's on-disk result cache or "
+                    "snapshot store (the directory passed as --cache-dir / "
+                    "cache_dir= or snapshot_dir=). 'stats' reports "
+                    "per-fingerprint entry/byte counts; 'prune' keeps the "
+                    "newest N entries per fingerprint.",
     )
     cache_sub = p.add_subparsers(dest="cache_command", required=True)
     ps = cache_sub.add_parser("stats", help="report cache size per fingerprint")
-    ps.add_argument("cache_dir", help="the engine's cache directory")
+    ps.add_argument("cache_dir", help="the cache or snapshot directory")
     ps.add_argument("--json", action="store_true", help="emit machine-readable JSON")
     ps.set_defaults(func=cmd_cache)
     pp = cache_sub.add_parser("prune", help="drop oldest entries over a cap")
-    pp.add_argument("cache_dir", help="the engine's cache directory")
+    pp.add_argument("cache_dir", help="the cache or snapshot directory")
     pp.add_argument("--max-entries", type=int, required=True,
-                    help="results to keep per fingerprint (oldest pruned first)")
+                    help="entries to keep per fingerprint (oldest pruned first)")
     pp.add_argument("--json", action="store_true", help="emit machine-readable JSON")
     pp.set_defaults(func=cmd_cache)
     return parser

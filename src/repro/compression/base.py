@@ -88,10 +88,6 @@ class StepReport:
     def params_removed(self) -> int:
         return self.params_before - self.params_after
 
-    def reduction_vs(self, original_params: int) -> float:
-        """Parameter reduction of this step relative to the original model."""
-        return self.params_removed / max(original_params, 1)
-
 
 class CompressionMethod(ABC):
     """Base class for the six methods in the search space (Table 1)."""

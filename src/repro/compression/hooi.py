@@ -111,9 +111,3 @@ def choose_tucker_ranks(f: int, c: int, k: int, param_budget: int) -> Tuple[int,
         else:
             hi = mid
     return best
-
-
-def reconstruction_error(weight: np.ndarray, core: np.ndarray, u_out: np.ndarray, u_in: np.ndarray) -> float:
-    """Relative Frobenius reconstruction error of a Tucker-2 factorisation."""
-    approx = tucker2_reconstruct(core, u_out, u_in)
-    return float(np.linalg.norm(weight - approx) / (np.linalg.norm(weight) + 1e-12))

@@ -19,7 +19,7 @@ decomposition (the paper's two-stage design).
 from __future__ import annotations
 
 import copy
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -74,6 +74,13 @@ _LOCAL_CRITERIA: Dict[str, Callable[[PrunableUnit], np.ndarray]] = {
 }
 
 
+def saving_ranks(f: int, c: int, k: int, needed: int) -> Tuple[int, int]:
+    """Tucker-2 ranks for an (f, c, k, k) kernel that should save ``needed``
+    weights, keeping at least an eighth of them."""
+    size = f * c * k * k
+    return choose_tucker_ranks(f, c, k, max(size - needed, size // 8))
+
+
 def _aggregate(scores: np.ndarray, mode: str) -> np.ndarray:
     """HP11 global aggregation of one unit's local scores."""
     if mode == "P1":  # z-score within the layer
@@ -94,6 +101,7 @@ class HOSCompression(CompressionMethod):
     techniques = ("TE6", "TE7", "TE3")
 
     prune_share = 0.5  # fraction of the HP2 budget taken by TE6 pruning
+    max_ratio = 0.9  # most of a unit's channels TE6 may prune
     min_channels_for_tucker = 8
 
     def apply(self, model: Module, hp: Dict[str, object], ctx: ExecutionContext) -> StepReport:
@@ -109,7 +117,7 @@ class HOSCompression(CompressionMethod):
             u.name: _aggregate(criterion(u), aggregation)
             for u in model.pruning_units()
         }
-        removed = prune_by_scores(model, scores, prune_budget, max_ratio=0.9)
+        removed = prune_by_scores(model, scores, prune_budget, max_ratio=self.max_ratio)
 
         # ---- TE7: HOOI Tucker-2 on the largest remaining kernels ---------
         lowrank_budget = budget - removed
@@ -152,8 +160,7 @@ class HOSCompression(CompressionMethod):
             if saved_total >= budget:
                 break
             f, c, k, _ = conv.weight.shape
-            target = max(size - (budget - saved_total), size // 8)
-            ro, ri = choose_tucker_ranks(f, c, k, target)
+            ro, ri = saving_ranks(f, c, k, budget - saved_total)
             new_size = tucker2_params(f, c, k, ro, ri)
             if new_size >= size:
                 continue

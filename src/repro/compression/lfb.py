@@ -26,7 +26,8 @@ from .base import CompressionMethod, ExecutionContext, StepReport
 from .factorized import BasisConv2d, replace_module
 
 
-def _basis_params(f: int, c: int, k: int, b: int) -> int:
+def basis_params(f: int, c: int, k: int, b: int) -> int:
+    """Weights of an (f, c, k, k) kernel factorised onto ``b`` basis filters."""
     return b * c * k * k + f * b
 
 
@@ -35,6 +36,16 @@ def _max_useful_basis(f: int, c: int, k: int) -> int:
     original = f * c * k * k
     per_basis = c * k * k + f
     return max(1, original // per_basis - 1)
+
+
+def choose_basis_size(f: int, c: int, k: int, needed: int) -> int:
+    """Basis size for an (f, c, k, k) kernel that should save ``needed`` weights.
+
+    The smallest saving of at least ``needed``, else the largest saving
+    (``b = 1``); never more than :func:`_max_useful_basis`.
+    """
+    b = (f * c * k * k - needed) // (c * k * k + f)
+    return int(np.clip(b, 1, _max_useful_basis(f, c, k)))
 
 
 class LearningFilterBasis(CompressionMethod):
@@ -87,12 +98,7 @@ class LearningFilterBasis(CompressionMethod):
             if saved_total >= budget:
                 break
             f, c, k, _ = conv.weight.shape
-            b_max = _max_useful_basis(f, c, k)
-            per_basis = c * k * k + f
-            needed = budget - saved_total
-            # smallest saving >= needed, else maximal saving (b = 1).
-            b = (size - needed) // per_basis
-            b = int(np.clip(b, 1, b_max))
+            b = choose_basis_size(f, c, k, budget - saved_total)
             basis, coeffs = self._svd_basis(conv.weight.data, b)
             bias = conv.bias.data.copy() if conv.bias is not None else None
             replace_module(
@@ -100,7 +106,7 @@ class LearningFilterBasis(CompressionMethod):
                 name,
                 BasisConv2d(basis, coeffs, bias, conv.stride, conv.padding),
             )
-            saved_total += size - _basis_params(f, c, k, b)
+            saved_total += size - basis_params(f, c, k, b)
         return saved_total
 
     @staticmethod

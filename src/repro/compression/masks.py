@@ -63,10 +63,3 @@ def masked_evaluation(
             if g is not None:
                 unit.bn.gamma.data[drop] = g
                 unit.bn.beta.data[drop] = beta
-
-
-def currently_zeroed(unit: PrunableUnit, tolerance: float = 1e-12) -> np.ndarray:
-    """Channel indices whose producer filters are entirely (near) zero."""
-    w = unit.producer.weight.data
-    norms = np.abs(w).reshape(w.shape[0], -1).sum(axis=1)
-    return np.flatnonzero(norms <= tolerance)

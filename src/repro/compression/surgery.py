@@ -234,13 +234,13 @@ def channel_limits(
 
 
 def plan_from_dropped(
-    units: Sequence[PrunableUnit], dropped: np.ndarray, removed: int
+    names: Sequence[str], counts: Sequence[int], dropped: np.ndarray, removed: int
 ) -> PruningPlan:
-    """The :class:`PruningPlan` of a :func:`greedy_removal` result."""
-    bounds = np.cumsum([unit.out_channels for unit in units])[:-1]
+    """The :class:`PruningPlan` of a :func:`greedy_removal` result over the
+    units ``names``, of ``counts`` channels each."""
     keep = {
-        unit.name: np.flatnonzero(~mask)
-        for unit, mask in zip(units, np.split(dropped, bounds))
+        name: np.flatnonzero(~mask)
+        for name, mask in zip(names, np.split(dropped, np.cumsum(counts)[:-1]))
     }
     return PruningPlan(keep=keep, params_removed=removed)
 
@@ -274,7 +274,7 @@ def plan_global_pruning(
         [params_per_channel(u) for u in units],
         param_budget,
     )
-    return plan_from_dropped(units, dropped, removed)
+    return plan_from_dropped([unit.name for unit in units], counts, dropped, removed)
 
 
 def execute_plan(units: Sequence[PrunableUnit], plan: PruningPlan) -> None:
@@ -283,6 +283,28 @@ def execute_plan(units: Sequence[PrunableUnit], plan: PruningPlan) -> None:
         kept = plan.keep[unit.name]
         if kept.size < unit.out_channels:
             prune_unit(unit, kept)
+
+
+def prune_in_rounds(
+    count_params: Callable[[], int],
+    prune_once: Callable[[int], int],
+    param_budget: int,
+    rounds: int = 3,
+) -> int:
+    """Prune, re-measure and top up until ``param_budget`` parameters are gone.
+
+    ``prune_once(remaining)`` prunes toward ``remaining`` more parameters
+    and returns the removal it planned; 0 ends the rounds.  They also end
+    once the measured removal is within 2% of the budget (or one parameter)
+    and after ``rounds`` passes.  Returns the parameters actually removed,
+    as ``count_params`` measures them.
+    """
+    start = count_params()
+    for _ in range(max(rounds, 1)):
+        remaining = param_budget - (start - count_params())
+        if remaining <= max(0.02 * param_budget, 1) or prune_once(remaining) == 0:
+            break
+    return start - count_params()
 
 
 def prune_by_scores(
@@ -296,34 +318,24 @@ def prune_by_scores(
     """Globally prune the lowest-scored channels until ``param_budget`` params go.
 
     Planning costs are estimated on the *current* structure; in chain
-    topologies (VGG) simultaneous removals interact, so the prune iterates:
-    plan, execute, re-measure, and top up with fresh scores (``score_fn``
-    when given, else re-used relative ranks) until the measured removal
-    reaches the budget or ``rounds`` passes have run.
+    topologies (VGG) simultaneous removals interact, so the prune iterates
+    (:func:`prune_in_rounds`): plan, execute, re-measure, and top up with
+    fresh scores (``score_fn`` when given, else L2 norms) until the measured
+    removal reaches the budget or ``rounds`` passes have run.
 
     Returns the number of parameters actually removed (measured).
     """
-    start = model.num_parameters()
-    current_scores = scores
-    for _ in range(max(rounds, 1)):
-        removed = start - model.num_parameters()
-        remaining = param_budget - removed
-        if remaining <= max(0.02 * param_budget, 1):
-            break
+    def prune_once(remaining: int) -> int:
+        nonlocal scores
         units = model.pruning_units()
-        if current_scores is None:
-            if score_fn is None:
-                break
-            current_scores = {u.name: score_fn(u) for u in units}
-        plan = plan_global_pruning(units, current_scores, remaining, max_ratio=max_ratio)
-        if plan.params_removed == 0:
-            break
+        if scores is None:
+            scores = {u.name: (score_fn or filter_l2_norms)(u) for u in units}
+        plan = plan_global_pruning(units, scores, remaining, max_ratio=max_ratio)
         execute_plan(units, plan)
-        current_scores = None  # later rounds must re-score the new structure
-        if score_fn is None:
-            # Without a re-scoring rule fall back to L2 norms for top-ups.
-            score_fn = filter_l2_norms
-    return start - model.num_parameters()
+        scores = None  # later rounds must re-score the new structure
+        return plan.params_removed
+
+    return prune_in_rounds(model.num_parameters, prune_once, param_budget, rounds)
 
 
 # --------------------------------------------------------------------------- #
@@ -351,7 +363,42 @@ def bn_scale_magnitudes(unit: PrunableUnit) -> np.ndarray:
 # --------------------------------------------------------------------------- #
 # Width scaling (used to build distillation students)
 # --------------------------------------------------------------------------- #
-def uniform_width_scale(model: Module, param_budget: int, max_ratio: float = 0.95) -> int:
+def drop_uniformly(
+    units: Sequence,
+    channels: Callable[[object], int],
+    cost: Callable[[object], int],
+    drop: Callable[[object, int], None],
+    param_budget: int,
+    max_ratio: float,
+) -> int:
+    """Drop the same fraction of every unit's channels, rounded down.
+
+    The fraction is ``param_budget`` over all units' ``cost * channels``
+    parameters, at most ``max_ratio``, and every unit keeps a channel.
+    ``drop(unit, n)`` removes ``n`` channels of ``unit``.  Returns the
+    parameters removed, at each unit's cost just before its drop.
+    """
+    total_prunable = sum(cost(u) * channels(u) for u in units)
+    fraction = min(max_ratio, param_budget / max(total_prunable, 1))
+    removed = 0
+    for unit in units:
+        n = channels(unit)
+        n_drop = min(int(np.floor(n * fraction)), n - 1)
+        if n_drop <= 0:
+            continue
+        unit_cost = cost(unit)
+        drop(unit, n_drop)
+        removed += n_drop * unit_cost
+    return removed
+
+
+#: most of a unit's channels :func:`uniform_width_scale` removes by default
+UNIFORM_MAX_RATIO = 0.95
+
+
+def uniform_width_scale(
+    model: Module, param_budget: int, max_ratio: float = UNIFORM_MAX_RATIO
+) -> int:
     """Shrink every prunable unit proportionally until ``param_budget`` params go.
 
     Channels with the smallest L2 norms are dropped first within each unit.
@@ -360,19 +407,13 @@ def uniform_width_scale(model: Module, param_budget: int, max_ratio: float = 0.9
     units = model.pruning_units()
     if not units:
         return 0
-    total_prunable = sum(params_per_channel(u) * u.out_channels for u in units)
-    fraction = min(max_ratio, param_budget / max(total_prunable, 1))
-    removed = 0
-    for unit in units:
-        n = unit.out_channels
-        n_drop = min(int(np.floor(n * fraction)), n - 1)
-        if n_drop <= 0:
-            continue
-        order = np.argsort(filter_l2_norms(unit))
-        keep = np.sort(order[n_drop:])
-        cost = params_per_channel(unit)
-        prune_unit(unit, keep)
-        removed += n_drop * cost
+
+    def drop(unit: PrunableUnit, n_drop: int) -> None:
+        prune_unit(unit, np.sort(np.argsort(filter_l2_norms(unit))[n_drop:]))
+
+    removed = drop_uniformly(
+        units, lambda u: u.out_channels, params_per_channel, drop, param_budget, max_ratio
+    )
     # Rounding down per unit can undershoot the budget; top up with a global
     # greedy pass over the remaining smallest-norm channels.
     if removed < param_budget:

@@ -42,7 +42,7 @@ import os
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
-from typing import Callable, List, Optional, Set, Tuple, TypeVar
+from typing import Callable, List, Optional, Set, Tuple, TypeVar, Union
 
 from ..compression import StepReport
 from ..nn.serialization import load_module, save_module
@@ -88,8 +88,9 @@ def _unlink(path) -> bool:
     return True
 
 
-def _scan(root: Path, suffix: str) -> List[Entry]:
-    """Every ``suffix`` file under ``root``, oldest first by ``(mtime, name)``."""
+def _scan(root: Path, suffix: Union[str, Tuple[str, ...]]) -> List[Entry]:
+    """Every ``suffix`` file under ``root`` (a tuple matches any of its
+    suffixes), oldest first by ``(mtime, name)``."""
     entries = []
     try:
         names = os.listdir(root)
@@ -132,7 +133,7 @@ def _evict(
     return removed
 
 
-def _stats(root: Path, suffix: str) -> dict:
+def _stats(root: Path, suffix: Union[str, Tuple[str, ...]]) -> dict:
     entries = _scan(root, suffix)
     return {
         "root": str(root),
@@ -144,14 +145,15 @@ def _stats(root: Path, suffix: str) -> dict:
 class DiskStore:
     """One fingerprint's directory of files keyed by identifier.
 
-    Subclasses supply the codec: they :meth:`read` with a ``decode(path)``
-    that returns ``(stored identifier, value)`` and :meth:`write` with an
-    ``encode(tmp_path)``.
+    Subclasses supply the file ``suffix`` and the codec: they :meth:`read`
+    with a ``decode(path)`` that returns ``(stored identifier, value)`` and
+    :meth:`write` with an ``encode(tmp_path)``.
     """
 
-    def __init__(self, directory, fingerprint: str, suffix: str):
+    suffix: str
+
+    def __init__(self, directory, fingerprint: str):
         self.root = Path(directory) / fingerprint[:16]
-        self.suffix = suffix
         self.root.mkdir(parents=True, exist_ok=True)
         #: identifiers this instance wrote; a hit outside it is foreign
         self.written_ids: Set[str] = set()
@@ -213,13 +215,15 @@ class ResultCache(DiskStore):
     to every job).
     """
 
+    suffix = ".json"
+
     def __init__(
         self,
         cache_dir,
         fingerprint: str,
         max_entries: Optional[int] = DEFAULT_CACHE_ENTRIES,
     ):
-        super().__init__(cache_dir, fingerprint, ".json")
+        super().__init__(cache_dir, fingerprint)
         self.max_entries = max_entries
         self._entry_count: Optional[int] = None
 
@@ -281,8 +285,10 @@ class ModelSnapshotStore(DiskStore):
     several processes share it.
     """
 
+    suffix = ".snap"
+
     def __init__(self, snapshot_dir, fingerprint: str, budget_bytes: Optional[int] = None):
-        super().__init__(snapshot_dir, fingerprint, ".snap")
+        super().__init__(snapshot_dir, fingerprint)
         self.budget_bytes = (
             int(DEFAULT_SNAPSHOT_BUDGET_MB * 1024 * 1024)
             if budget_bytes is None
@@ -317,7 +323,10 @@ class ModelSnapshotStore(DiskStore):
         return size
 
 
-# -- `repro cache`: every fingerprint directory under a result cache --------
+# -- `repro cache`: every fingerprint directory under a store directory -----
+
+#: ``repro cache`` reads and prunes the entries of both tiers
+_TIER_SUFFIXES = (ResultCache.suffix, ModelSnapshotStore.suffix)
 
 
 def _fingerprint_dirs(cache_dir: Path) -> List[Path]:
@@ -327,9 +336,10 @@ def _fingerprint_dirs(cache_dir: Path) -> List[Path]:
 
 
 def cache_stats(cache_dir) -> dict:
-    """Aggregate accounting for every fingerprint directory under ``cache_dir``."""
+    """Aggregate accounting for every fingerprint directory under ``cache_dir``,
+    a result cache's or a snapshot store's."""
     cache_dir = Path(cache_dir)
-    fingerprints = [_stats(child, ".json") for child in _fingerprint_dirs(cache_dir)]
+    fingerprints = [_stats(child, _TIER_SUFFIXES) for child in _fingerprint_dirs(cache_dir)]
     return {
         "cache_dir": str(cache_dir),
         "fingerprints": fingerprints,
@@ -339,16 +349,19 @@ def cache_stats(cache_dir) -> dict:
 
 
 def prune_cache(cache_dir, max_entries: int) -> dict:
-    """Prune every fingerprint directory to ``max_entries`` results, oldest first.
+    """Prune every fingerprint directory to ``max_entries`` entries of each
+    tier (results, snapshots), oldest first.
 
-    The cap applies *per fingerprint* (matching ``ResultCache``'s own cap, so
-    one busy configuration cannot starve another's cache).  Returns the
-    post-prune :func:`cache_stats` with a ``removed`` total added.
+    The cap applies *per fingerprint and tier* (matching ``ResultCache``'s
+    own cap, so one busy configuration cannot starve another's cache).
+    Returns the post-prune :func:`cache_stats` with a ``removed`` total
+    added.
     """
     cache_dir = Path(cache_dir)
     removed = sum(
-        _evict(_scan(child, ".json"), max_entries=max_entries)
+        _evict(_scan(child, suffix), max_entries=max_entries)
         for child in _fingerprint_dirs(cache_dir)
+        for suffix in _TIER_SUFFIXES
     )
     stats = cache_stats(cache_dir)
     stats["removed"] = removed

@@ -11,7 +11,6 @@ import json
 from typing import Dict, Optional
 
 from ..core.evaluator import EvaluationResult
-from ..core.search import SearchResult
 
 
 def result_to_dict(result: Optional[EvaluationResult]) -> Optional[Dict]:
@@ -27,27 +26,6 @@ def result_to_dict(result: Optional[EvaluationResult]) -> Optional[Dict]:
         "pr": float(result.pr),
         "fr": float(result.fr),
         "ar": float(result.ar),
-    }
-
-
-def search_to_dict(search: SearchResult) -> Dict:
-    """JSON-serialisable summary of one search run."""
-    return {
-        "algorithm": search.algorithm,
-        "gamma": search.gamma,
-        "evaluations": search.evaluations,
-        "total_cost": search.total_cost,
-        "best": result_to_dict(search.best),
-        "pareto": [result_to_dict(r) for r in search.pareto],
-        "trajectory": [
-            {
-                "cost": p.cost,
-                "evaluations": p.evaluations,
-                "best_accuracy": p.best_accuracy,
-                "hypervolume": p.hypervolume,
-            }
-            for p in search.trajectory
-        ],
     }
 
 

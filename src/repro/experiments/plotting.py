@@ -54,15 +54,3 @@ def ascii_scatter(
     )
     lines.append(" " * 10 + f"[{y_label}]  " + legend)
     return "\n".join(lines)
-
-
-def ascii_lines(
-    series: Dict[str, Sequence[Tuple[float, float]]],
-    width: int = 64,
-    height: int = 14,
-    x_label: str = "time",
-    y_label: str = "value",
-) -> str:
-    """Line-ish chart: scatter of trajectory samples (monotone x assumed)."""
-    return ascii_scatter(series, width=width, height=height,
-                         x_label=x_label, y_label=y_label)

@@ -191,6 +191,3 @@ class TransR:
         for _ in range(epochs):
             self.train_epoch(triplets)
         return self.loss_history
-
-    def embedding_of(self, entity_id: int) -> np.ndarray:
-        return self.entities[entity_id].copy()

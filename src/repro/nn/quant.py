@@ -48,6 +48,8 @@ from .workspace import record_scratch
 
 #: modes accepted by quantize_module
 QUANT_MODES = ("int8", "fp16")
+#: storage width in bits of a weight in each mode
+MODE_BITS = {"int8": 8, "fp16": 16}
 
 #: symmetric int8 range: [-127, 127] keeps the scale sign-symmetric
 QMAX = 127
@@ -81,17 +83,6 @@ def quantize_weight(
     shape[axis] = -1
     q = np.clip(np.rint(w / scale.reshape(shape)), -QMAX, QMAX).astype(np.int8)
     return q, scale
-
-
-def dequantize_weight(
-    qweight: np.ndarray, scale: np.ndarray, axis: int = 0
-) -> np.ndarray:
-    """Inverse of :func:`quantize_weight` (up to rounding error)."""
-    shape = [1] * qweight.ndim
-    shape[axis] = -1
-    return qweight.astype(np.float32) * np.asarray(scale, dtype=np.float32).reshape(
-        shape
-    )
 
 
 def quantize_activation(
@@ -294,7 +285,7 @@ class QuantizedConv2d(Module):
 
     @property
     def effective_bits(self) -> int:
-        return 8 if self.mode == "int8" else 16
+        return MODE_BITS[self.mode]
 
     def num_parameters(self) -> int:
         total = int(self.qweight.size)
@@ -387,7 +378,7 @@ class QuantizedLinear(Module):
 
     @property
     def effective_bits(self) -> int:
-        return 8 if self.mode == "int8" else 16
+        return MODE_BITS[self.mode]
 
     def num_parameters(self) -> int:
         total = int(self.qweight.size)

@@ -636,22 +636,6 @@ class Tensor(metaclass=_TensorMeta):
 
         return self._make(data, (self,), backward)
 
-    def pad2d(self, padding: int) -> "Tensor":
-        """Zero-pad the last two (spatial) dimensions of an NCHW tensor."""
-        if padding == 0:
-            return self
-        pads = [(0, 0)] * (self.ndim - 2) + [(padding, padding)] * 2
-        data = np.pad(self.data, pads)
-
-        def backward(grad: np.ndarray) -> None:
-            sl = [slice(None)] * (self.ndim - 2) + [
-                slice(padding, -padding),
-                slice(padding, -padding),
-            ]
-            self._accumulate(grad[tuple(sl)])
-
-        return self._make(data, (self,), backward)
-
     # ------------------------------------------------------------------ #
     # Backward pass
     # ------------------------------------------------------------------ #

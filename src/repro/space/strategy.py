@@ -176,10 +176,6 @@ class StrategySpace:
         positions = np.indices(sizes).reshape(len(sizes), stop - start).T
         return np.arange(start, stop), positions
 
-    def restrict(self, method_labels: Sequence[str]) -> "StrategySpace":
-        """A smaller space over the given methods (AutoMC-MultipleSource)."""
-        return StrategySpace(method_labels=list(method_labels))
-
     def parse_strategy(self, text: str) -> CompressionStrategy:
         """Parse a strategy identifier like ``C2[HP1=0.3,HP2=0.2,...]``.
 

@@ -1,6 +1,6 @@
 """LeGR's candidate-independent planning equals the per-candidate re-plan.
 
-``_GlobalRanking`` computes the criterion scores, unit sizes, floors,
+``GlobalRanking`` computes the criterion scores, unit sizes, floors,
 per-channel costs and total criterion mass once per apply.  The reference
 below is the loop it replaced: for every candidate, build the per-unit
 affine scores, run ``plan_global_pruning`` and sum the retained criterion
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.compression.legr import _CRITERIA, _GlobalRanking
+from repro.compression.legr import _CRITERIA, GlobalRanking
 from repro.compression.surgery import params_per_channel, plan_global_pruning
 from repro.models import resnet56, vgg16
 
@@ -58,7 +58,10 @@ def test_matches_per_candidate_plan(paper_units, model, criterion, max_ratio, bu
     alpha = np.abs(np.asarray(alpha[: len(units)]))
     kappa = np.asarray(kappa[: len(units)])
 
-    ranking = _GlobalRanking(units, base_scores, param_budget, max_ratio)
+    ranking = GlobalRanking(
+        [u.name for u in units], base_scores,
+        [params_per_channel(u) for u in units], param_budget, max_ratio,
+    )
     plan = ranking.plan(alpha, kappa)
     expected, expected_fitness = reference_candidate(
         units, base_scores, alpha, kappa, param_budget, max_ratio

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from repro.compression.lfb import LearningFilterBasis, _basis_params, _max_useful_basis
+from repro.compression.lfb import LearningFilterBasis, _max_useful_basis
+from repro.compression.lfb import basis_params as _basis_params
 
 
 class TestBudgetMath:

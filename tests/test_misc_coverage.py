@@ -100,4 +100,3 @@ class TestEvaluationResultMisc:
 
         report = StepReport(method="C3", params_before=1000, params_after=700)
         assert report.params_removed == 300
-        assert report.reduction_vs(2000) == pytest.approx(0.15)

@@ -9,7 +9,6 @@ from repro.core.evaluator import SurrogateEvaluator
 from repro.data.tasks import EXP1, transfer_task
 from repro.experiments.export import (
     result_to_dict,
-    search_to_dict,
     write_json,
 )
 from repro.knowledge import (
@@ -20,7 +19,7 @@ from repro.knowledge import (
     save_experience,
 )
 from repro.models import resnet20
-from repro.space import START, StrategySpace
+from repro.space import START
 
 
 class TestSchemeParsing:
@@ -111,23 +110,6 @@ class TestJsonExport:
 
     def test_none_result(self):
         assert result_to_dict(None) is None
-
-    def test_search_export(self, space):
-        from repro.core.solver import run_solver
-
-        task = transfer_task(EXP1, "resnet20", 0.27, 0.08, EXP1.model_accuracy)
-        evaluator = SurrogateEvaluator(
-            lambda: resnet20(num_classes=10), "resnet20", "cifar10", task,
-            config=EvaluatorConfig(seed=0),
-        )
-        search = run_solver(
-            "random", evaluator, StrategySpace(method_labels=["C3"]),
-            gamma=0.2, budget_hours=0.4, seed=0,
-        )
-        payload = search_to_dict(search)
-        assert payload["algorithm"] == "Random"
-        assert payload["evaluations"] == search.evaluations
-        json.dumps(payload)
 
     def test_write_json(self, tmp_path):
         path = str(tmp_path / "out.json")

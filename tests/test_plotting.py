@@ -1,7 +1,7 @@
 """Tests for the ASCII plotting helpers."""
 
 
-from repro.experiments.plotting import ascii_lines, ascii_scatter
+from repro.experiments.plotting import ascii_scatter
 
 
 class TestAsciiScatter:
@@ -37,7 +37,3 @@ class TestAsciiScatter:
         data_rows = [r for r in rows if r.strip().startswith("|")]
         assert len(data_rows) == 5
         assert all(len(r.strip()) == 32 for r in data_rows)  # |...30...|
-
-    def test_lines_alias(self):
-        chart = ascii_lines({"a": [(0, 1), (1, 2), (2, 3)]})
-        assert "o" in chart

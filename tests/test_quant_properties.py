@@ -25,7 +25,6 @@ from repro.models import resnet8, resnet56
 from repro.nn import Tensor, no_grad
 from repro.nn import functional as F
 from repro.nn.quant import (
-    dequantize_weight,
     quant_conv2d,
     quant_linear,
     quantize_activation,
@@ -40,6 +39,12 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 def _normal(seed, shape, spread=1.0):
     rng = np.random.default_rng(seed)
     return (rng.normal(size=shape) * spread).astype(np.float32)
+
+
+def dequantize_weight(qweight, scale):
+    """Inverse of ``quantize_weight`` (up to rounding error): per output channel."""
+    shape = [-1] + [1] * (qweight.ndim - 1)
+    return qweight.astype(np.float32) * np.asarray(scale, dtype=np.float32).reshape(shape)
 
 
 # --------------------------------------------------------------------------- #

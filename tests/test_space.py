@@ -71,11 +71,6 @@ class TestStrategy:
         for i in (0, 17, 2500):
             assert space[i].index == i
 
-    def test_restrict(self, space):
-        legr_only = space.restrict(["C2"])
-        assert len(legr_only) == grid_size("C2")
-        assert all(s.method_label == "C2" for s in legr_only)
-
     def test_identifiers_and_grid_positions_match_strategies(self):
         extended = StrategySpace(include_quantization=True)
         assert extended.identifiers == [s.identifier for s in extended]

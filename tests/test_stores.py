@@ -15,6 +15,7 @@ import pytest
 
 from repro.compression import StepReport
 from repro.core import EvaluationResult, ModelSnapshot, ModelSnapshotStore, ResultCache
+from repro.core.stores import cache_stats, prune_cache
 from repro.nn import Linear
 from repro.space import StrategySpace
 
@@ -152,3 +153,16 @@ def test_second_instance_hits_are_foreign(tmp_path, kind, schemes):
     assert kind.get(second, b) is not None
     assert a in first.written_ids and a not in second.written_ids  # foreign
     assert b in second.written_ids  # own
+
+
+def test_repro_cache_counts_and_prunes_the_tier(tmp_path, kind, schemes):
+    """``repro cache stats`` and ``prune`` read either tier's directory."""
+    store = kind.open(tmp_path)
+    for scheme in schemes:
+        kind.put(store, scheme.identifier)
+    stats = cache_stats(tmp_path)
+    assert stats["entries"] == 3
+    assert stats["bytes"] == store.stats()["bytes"] > 0
+    pruned = prune_cache(tmp_path, max_entries=1)
+    assert pruned["removed"] == 2
+    assert pruned["entries"] == len(store.entries()) == 1

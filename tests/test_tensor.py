@@ -174,13 +174,6 @@ class TestShapes:
         x[np.array([0, 0, 3])].sum().backward()
         np.testing.assert_allclose(x.grad, [2, 0, 0, 1, 0])
 
-    def test_pad2d_grad(self):
-        x = Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
-        out = x.pad2d(1)
-        assert out.shape == (1, 1, 4, 4)
-        out.sum().backward()
-        np.testing.assert_allclose(x.grad, np.ones((1, 1, 2, 2)))
-
     def test_concat_and_stack_grads(self):
         a = Tensor([1.0, 2.0], requires_grad=True)
         b = Tensor([3.0], requires_grad=True)
