@@ -26,6 +26,9 @@ What traced runs write to their journals (every record but its wall-clock
 fields, plus the counters and gauges) is pinned to
 ``tests/goldens/trace_journal.json``.
 
+The weights C1, C5 and C6 train against their pre-step teacher are pinned,
+as one sha256 per parameter, to ``tests/goldens/distillation.json``.
+
 To intentionally re-baseline after a behaviour-changing PR::
 
     pytest tests/test_goldens.py --update-goldens
@@ -673,3 +676,68 @@ def test_trace_journal_matches_goldens(tmp_path, tiny_data, update_goldens):
 
     golden = json.loads(TRACE_GOLDEN_PATH.read_text())
     _assert_same(measured, golden, "trace_journal")
+
+
+# --------------------------------------------------------------------------- #
+# Distillation golden: the weights C1, C5 and C6 train against their teacher
+# --------------------------------------------------------------------------- #
+DISTILLATION_GOLDEN_PATH = Path(__file__).parent / "goldens" / "distillation.json"
+
+#: (method, model fixture, hyperparameters) per case: one LMA temperature /
+#: alpha setting, one HOS reconstruction factor, every LFB auxiliary loss
+DISTILLATION_CASES = {
+    "C1_HP4=6_HP5=0.3": ("C1", "trained_resnet8", {"HP1": 0.2, "HP2": 0.2, "HP4": 6, "HP5": 0.3}),
+    "C5_HP14=3": ("C5", "trained_resnet8", {
+        "HP1": 0.2, "HP2": 0.2, "HP11": "P1", "HP12": "k34", "HP13": 0.3, "HP14": 3,
+    }),
+    "C6_HP16=NLL": ("C6", "trained_vgg8", {"HP1": 0.2, "HP2": 0.2, "HP15": 1.5, "HP16": "NLL"}),
+    "C6_HP16=CE": ("C6", "trained_vgg8", {"HP1": 0.2, "HP2": 0.2, "HP15": 1.5, "HP16": "CE"}),
+    "C6_HP16=MSE": ("C6", "trained_vgg8", {"HP1": 0.2, "HP2": 0.2, "HP15": 1.5, "HP16": "MSE"}),
+}
+
+
+def _distillation_outcome(label: str, source, hp: dict, tiny_data) -> dict:
+    import copy
+    import hashlib
+
+    from repro.compression import METHODS, ExecutionContext
+    from repro.nn import Trainer
+
+    train, val = tiny_data
+    model = copy.deepcopy(source)
+    ctx = ExecutionContext(
+        original_params=model.num_parameters(),
+        pretrain_epochs=2,
+        dataset=train,
+        val_dataset=val,
+        trainer=Trainer(lr=0.05, batch_size=32, seed=0),
+        train_enabled=True,
+        seed=0,
+    )
+    METHODS[label].apply(model, dict(hp), ctx)
+    return {
+        name: hashlib.sha256(param.data.tobytes()).hexdigest()
+        for name, param in model.named_parameters()
+    }
+
+
+def test_distillation_matches_goldens(request, tiny_data, update_goldens):
+    """C1, C5 and C6 distil the compressed model from a copy of itself taken
+    before the step.  The sha256 of every trained parameter's bytes is
+    pinned per case, so any change to the teacher copy, its forward pass or
+    a per-method loss shows up here.  The LFB cases differ only in the
+    auxiliary loss, so MSE must train other weights than CE.  (NLL of the
+    log-softmax and CE are the same loss, and train the same weights.)"""
+    measured = {
+        name: _distillation_outcome(label, request.getfixturevalue(fixture), hp, tiny_data)
+        for name, (label, fixture, hp) in DISTILLATION_CASES.items()
+    }
+    assert measured["C6_HP16=MSE"] != measured["C6_HP16=CE"]
+    if update_goldens:
+        DISTILLATION_GOLDEN_PATH.write_text(json.dumps(measured, indent=2, sort_keys=True) + "\n")
+        pytest.skip("distillation goldens regenerated; review the diff")
+
+    golden = json.loads(DISTILLATION_GOLDEN_PATH.read_text())
+    assert set(measured) == set(golden)
+    for name, expected in golden.items():
+        assert measured[name] == expected, name
