@@ -46,7 +46,6 @@ from .verifier import (
     DEFAULT_INPUT_SHAPE,
     assert_valid,
     check_finite_parameters,
-    infer_output_spec,
     verify_checkpoint,
     verify_model,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "count_flops",
     "count_params",
     "detect_anomaly",
-    "infer_output_spec",
     "lint_scheme",
     "profile_model",
     "trace_model",

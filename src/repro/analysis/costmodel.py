@@ -36,15 +36,19 @@ C3     :func:`~repro.compression.surgery.prune_in_rounds` (the rounds and
        stop rule of ``prune_by_scores``) around ``greedy_removal``.
 C4     the same at SFP's ratio.
 C5     HOS's share of the budget pruned the same way, the rest taken by
-       Tucker-2 factorisation of the largest kernels at the ranks of
-       :func:`~repro.compression.hos.saving_ranks`.
-C6     filter-basis factorisation largest-first at the sizes of
-       :func:`~repro.compression.lfb.choose_basis_size`.
+       :func:`~repro.compression.factorized.factorize_largest_first` over
+       the plain conv ops with the plan
+       :func:`~repro.compression.hos.tucker_plan` (Tucker-2 at the ranks
+       of :func:`~repro.compression.hos.saving_ranks`).
+C6     the same walk with the plan
+       :func:`~repro.compression.lfb.basis_plan` (a filter basis of
+       :func:`~repro.compression.lfb.choose_basis_size`).
 C7     parameters/FLOPs unchanged; effective weight width becomes
        HP17 bits (weight-memory prediction only).
 C8     parameters/FLOPs unchanged; effective weight width is
        :data:`repro.nn.quant.MODE_BITS` of HP19, the width the executed
-       quantized layers report.
+       quantized layers report.  Convolutions become quantized ops, which
+       later C1–C6 steps leave alone, as they leave ``QuantizedConv2d``.
 ====== ===============================================================
 
 Channel scores are weight-dependent, but their *order statistics* at init are
@@ -76,10 +80,11 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..compression import METHODS, ExecutionContext
+from ..compression.factorized import factorize_largest_first
 from ..compression.hooi import tucker2_params
-from ..compression.hos import saving_ranks
+from ..compression.hos import tucker_plan
 from ..compression.legr import GlobalRanking
-from ..compression.lfb import basis_params, choose_basis_size
+from ..compression.lfb import basis_params, basis_plan
 from ..compression.surgery import (
     UNIFORM_MAX_RATIO,
     channel_limits,
@@ -240,8 +245,9 @@ class Budget:
 # --------------------------------------------------------------------------- #
 # Abstract model structure
 # --------------------------------------------------------------------------- #
-#: op kinds that carry parameters / FLOPs
-_COSTED_KINDS = ("conv", "tucker", "basis", "bn", "linear", "add_relu")
+#: op kinds that carry parameters / FLOPs; ``qconv`` is a quantized
+#: convolution, costed like ``conv`` but no longer plain for surgery
+_COSTED_KINDS = ("conv", "qconv", "tucker", "basis", "bn", "linear", "add_relu")
 
 
 @dataclass
@@ -249,7 +255,7 @@ class _Op:
     """One abstract layer: enough structure to recompute params and FLOPs."""
 
     path: str
-    kind: str  # conv | tucker | basis | bn | linear | add_relu | zero
+    kind: str  # conv | qconv | tucker | basis | bn | linear | add_relu | zero
     in_ch: int = 0
     out_ch: int = 0
     kernel: int = 1
@@ -266,7 +272,7 @@ class _Op:
 
     # -- accounting -------------------------------------------------------- #
     def params(self) -> int:
-        if self.kind == "conv":
+        if self.kind in ("conv", "qconv"):
             p = self.out_ch * self.in_ch * self.kernel * self.kernel
             return p + (self.out_ch if self.bias else 0)
         if self.kind == "tucker":
@@ -283,7 +289,7 @@ class _Op:
 
     def flops(self) -> int:
         """FLOPs at batch size 1 of the kernels this op runs (2 per MAC)."""
-        if self.kind == "conv":
+        if self.kind in ("conv", "qconv"):
             area = (self.h_out or 1) * (self.w_out or 1)
             macs = area * self.out_ch * self.in_ch * self.kernel * self.kernel
             return 2 * macs + (area * self.out_ch if self.bias else 0)
@@ -345,7 +351,7 @@ class _Unit:
 _KIND_BY_NODE = {
     "Conv2d": "conv",
     "Conv2dReLU": "conv",
-    "QuantizedConv2d": "conv",
+    "QuantizedConv2d": "qconv",
     "TuckerConv2d": "tucker",
     "BasisConv2d": "basis",
     "BatchNorm2d": "bn",
@@ -421,7 +427,7 @@ class AbstractModel:
             h_out=node.output.height,
             w_out=node.output.width,
         )
-        if kind in ("conv", "tucker", "basis"):
+        if kind in ("conv", "qconv", "tucker", "basis"):
             op.in_ch = module.in_channels
             op.out_ch = module.out_channels
             op.kernel = int(getattr(module, "kernel_size", 1))
@@ -486,6 +492,12 @@ class AbstractModel:
     def active_units(self) -> List[_Unit]:
         """Units whose producer is still a plain convolution (surgery mirror)."""
         return [u for u in self.units if self.ops[u.producer].kind == "conv"]
+
+    def plain_convs(self) -> List[Tuple[_Op, int, int, int]]:
+        """``(op, f, c, k)`` of every plain convolution, for the factorisation
+        walk.  Execution order matches module declaration order for every
+        zoo architecture, so the walk sees them as the methods do."""
+        return [(op, op.out_ch, op.in_ch, op.kernel) for op in self.ops if op.kind == "conv"]
 
     def unit_channels(self, unit: _Unit) -> int:
         return self.ops[unit.producer].out_ch
@@ -643,56 +655,29 @@ def _abstract_uniform_scale(model: AbstractModel, budget: int) -> int:
     return removed
 
 
-def _conv_candidates(model: AbstractModel, min_out: int, min_in: int) -> List[Tuple[int, _Op]]:
-    """Plain convs eligible for factorisation, largest weight first.
-
-    Mirrors the ``named_modules`` iteration + stable size sort of the real
-    factorizers (op order follows execution order, which matches module
-    declaration order for every zoo architecture).
-    """
-    candidates = []
-    for op in model.ops:
-        if op.kind != "conv" or op.kernel < 2:
-            continue
-        if op.out_ch < min_out or op.in_ch < min_in:
-            continue
-        size = op.out_ch * op.in_ch * op.kernel * op.kernel
-        candidates.append((size, op))
-    candidates.sort(key=lambda t: -t[0])
-    return candidates
-
-
-def _abstract_tucker_factorize(model: AbstractModel, budget: int) -> int:
-    """HOS ``_factorize`` on the abstract ops, with its :func:`saving_ranks`."""
-    if budget <= 0:
-        return 0
+def _tucker_walk(model: AbstractModel, budget: int) -> int:
+    """HOS's TE7 on the abstract ops: ``factorize_largest_first`` with its plan."""
     floor = METHODS["C5"].min_channels_for_tucker
-    saved = 0
-    for size, op in _conv_candidates(model, floor, floor):
-        if saved >= budget:
-            break
-        r_out, r_in = saving_ranks(op.out_ch, op.in_ch, op.kernel, budget - saved)
-        new_size = tucker2_params(op.out_ch, op.in_ch, op.kernel, r_out, r_in)
-        if new_size >= size:
-            continue
-        op.kind = "tucker"
-        op.r_out, op.r_in = r_out, r_in
-        saved += size - new_size
-    return saved
+    return factorize_largest_first(
+        model.plain_convs(), budget, floor, floor, tucker_plan, _to_tucker
+    )
 
 
-def _abstract_basis_factorize(model: AbstractModel, budget: int) -> int:
-    """LFB ``_factorize`` on the abstract ops, with its :func:`choose_basis_size`."""
-    if budget <= 0:
-        return 0
-    saved = 0
-    for size, op in _conv_candidates(model, METHODS["C6"].min_channels, 1):
-        if saved >= budget:
-            break
-        op.kind = "basis"
-        op.basis = choose_basis_size(op.out_ch, op.in_ch, op.kernel, budget - saved)
-        saved += size - basis_params(op.out_ch, op.in_ch, op.kernel, op.basis)
-    return saved
+def _to_tucker(op: _Op, ranks: Tuple[int, int]) -> None:
+    op.kind = "tucker"
+    op.r_out, op.r_in = ranks
+
+
+def _basis_walk(model: AbstractModel, budget: int) -> int:
+    """LFB on the abstract ops: ``factorize_largest_first`` with its plan."""
+    return factorize_largest_first(
+        model.plain_convs(), budget, METHODS["C6"].min_channels, 1, basis_plan, _to_basis
+    )
+
+
+def _to_basis(op: _Op, basis: int) -> None:
+    op.kind = "basis"
+    op.basis = basis
 
 
 def _abstract_legr(
@@ -790,14 +775,17 @@ def apply_strategy(model: AbstractModel, strategy, base_params: int) -> None:
         removed = _abstract_prune(
             model, int(round(budget * hos.prune_share)), hos.max_ratio, mode=mode
         )
-        _abstract_tucker_factorize(model, budget - removed)
+        _tucker_walk(model, budget - removed)
     elif label == "C6":
-        _abstract_basis_factorize(model, budget)
+        _basis_walk(model, budget)
     elif label == "C7":
         model.weight_bits = int(hp["HP17"])
     elif label == "C8":
         # Real PTQ: executed precision is exactly the mode's storage width.
         model.weight_bits = MODE_BITS[str(hp["HP19"])]
+        for op in model.ops:
+            if op.kind == "conv":
+                op.kind = "qconv"
     else:
         raise ValueError(f"no effect signature for method {label!r}")
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..nn.layers import Module
 from .diagnostics import Report
-from .graph import ModelGraph, TensorSpec, trace_model
+from .graph import ModelGraph, trace_model
 
 #: CIFAR-style default resolution used when no input shape is given
 DEFAULT_INPUT_SHAPE: Tuple[int, int, int] = (3, 32, 32)
@@ -118,11 +118,3 @@ def verify_checkpoint(
 def assert_valid(model: Module, input_shape: Tuple[int, int, int] = DEFAULT_INPUT_SHAPE) -> None:
     """Raise :class:`~repro.analysis.diagnostics.VerificationError` on errors."""
     verify_model(model, input_shape=input_shape).raise_on_error()
-
-
-def infer_output_spec(
-    model: Module, input_shape: Tuple[int, int, int] = DEFAULT_INPUT_SHAPE
-) -> Optional[TensorSpec]:
-    """The statically inferred output spec (None when tracing found errors)."""
-    report = verify_model(model, input_shape=input_shape)
-    return None if report.has_errors else report.graph.output

@@ -7,7 +7,7 @@
 from typing import Dict
 
 from .base import CompressionMethod, ExecutionContext, StepReport, fine_tune
-from .factorized import BasisConv2d, TuckerConv2d, conv_like_modules, replace_module
+from .factorized import BasisConv2d, TuckerConv2d, replace_module
 from .hooi import choose_tucker_ranks, tucker2, tucker2_params, tucker2_reconstruct
 from .hos import HOSCompression
 from .legr import LeGR
@@ -78,7 +78,6 @@ __all__ = [
     "TuckerConv2d",
     "bn_scale_magnitudes",
     "choose_tucker_ranks",
-    "conv_like_modules",
     "execute_plan",
     "filter_l1_norms",
     "filter_l2_norms",

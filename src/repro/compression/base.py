@@ -19,13 +19,15 @@ the calibrated response surface instead.
 
 from __future__ import annotations
 
+import copy
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, TypeVar
 
 import numpy as np
 
 from ..nn import Module
+from ..nn.tensor import Tensor, no_grad
 from ..nn.train import Trainer
 
 
@@ -44,6 +46,11 @@ class ExecutionContext:
     def __post_init__(self):
         self.rng = np.random.default_rng(self.seed)
 
+    @property
+    def can_train(self) -> bool:
+        """Whether a step may run gradient training: enabled, with data and a trainer."""
+        return self.train_enabled and self.dataset is not None and self.trainer is not None
+
     def epochs(self, multiplier: float) -> float:
         """Resolve a ``*n`` hyperparameter to an absolute epoch count."""
         return multiplier * self.pretrain_epochs
@@ -59,8 +66,6 @@ class ExecutionContext:
             return float("nan")
         was_training = model.training
         model.eval()
-        from ..nn.tensor import Tensor, no_grad
-
         correct = total = 0
         with no_grad():
             for i, (xb, yb) in enumerate(data.iter_batches(32, shuffle=False)):
@@ -90,7 +95,12 @@ class StepReport:
 
 
 class CompressionMethod(ABC):
-    """Base class for the six methods in the search space (Table 1)."""
+    """Base class for the six methods in the search space (Table 1).
+
+    :meth:`apply` is the step envelope: it counts the model's parameters
+    before and after :meth:`compress`, which records the rest of the
+    :class:`StepReport`.
+    """
 
     #: short label used in the knowledge graph and strategy ids ("C1".."C6")
     label: str = "?"
@@ -99,9 +109,19 @@ class CompressionMethod(ABC):
     #: compression-technique entity ids attached in the knowledge graph
     techniques: tuple = ()
 
-    @abstractmethod
     def apply(self, model: Module, hp: Dict[str, object], ctx: ExecutionContext) -> StepReport:
         """Compress ``model`` in place according to ``hp``; report what happened."""
+        params_before = model.num_parameters()
+        report = StepReport(self.label, params_before, params_before)
+        self.compress(model, hp, ctx, report)
+        report.params_after = model.num_parameters()
+        return report
+
+    @abstractmethod
+    def compress(
+        self, model: Module, hp: Dict[str, object], ctx: ExecutionContext, report: StepReport
+    ) -> None:
+        """Compress ``model`` in place; record epochs and details on ``report``."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(label={self.label})"
@@ -109,6 +129,36 @@ class CompressionMethod(ABC):
 
 def fine_tune(model: Module, epochs: float, ctx: ExecutionContext) -> None:
     """Shared fine-tuning procedure (technique TE3)."""
-    if not ctx.train_enabled or epochs <= 0 or ctx.dataset is None or ctx.trainer is None:
-        return
-    ctx.trainer.fit(model, ctx.dataset, epochs)
+    if ctx.can_train and epochs > 0:
+        ctx.trainer.fit(model, ctx.dataset, epochs)
+
+
+Result = TypeVar("Result")
+
+
+def distill(
+    model: Module,
+    compress: Callable[[], Result],
+    epochs: float,
+    loss: Callable[[Tensor, np.ndarray, np.ndarray], Tensor],
+    ctx: ExecutionContext,
+) -> Result:
+    """Run ``compress()`` on ``model``, then train it against its former self.
+
+    When the step can train, a copy of ``model`` taken before ``compress``
+    is the teacher: each batch runs it in eval mode under ``no_grad``, and
+    ``model`` trains for ``epochs`` on ``loss(logits, targets,
+    teacher_logits)``.  Returns what ``compress`` returns.
+    """
+    teacher = copy.deepcopy(model) if ctx.can_train and epochs > 0 else None
+    result = compress()
+    if teacher is not None:
+        teacher.eval()
+
+        def loss_fn(logits: Tensor, targets: np.ndarray, idx: np.ndarray) -> Tensor:
+            with no_grad():
+                teacher_logits = teacher(Tensor(ctx.dataset.images[idx])).data
+            return loss(logits, targets, teacher_logits)
+
+        ctx.trainer.fit(model, ctx.dataset, epochs, loss_fn=loss_fn)
+    return result

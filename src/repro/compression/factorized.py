@@ -5,11 +5,15 @@ pass but store fewer parameters.  They participate in the pruning-graph
 protocol as *consumers* (their input channels can be shrunk) but are not
 prunable producers themselves — once a layer is factorised its output
 channels are tied to the recombination matrix.
+
+:func:`factorize_largest_first` is the one walk that decides which
+convolutions HOS (C5) and LFB (C6) factorise; the executed methods and the
+static cost model's effect signatures both call it.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Iterable, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -142,15 +146,6 @@ class BasisConv2d(Module):
         )
 
 
-def conv_like_modules(model: Module):
-    """All modules that behave like a convolution (plain or factorised)."""
-    found = []
-    for name, module in model.named_modules():
-        if isinstance(module, Conv2d) or getattr(module, "is_conv_like", False):
-            found.append((name, module))
-    return found
-
-
 def replace_module(model: Module, dotted: str, new_module: Module) -> None:
     """Swap the module at ``dotted`` path (e.g. ``blocks.3.conv1``) in place."""
     parts = dotted.split(".")
@@ -158,3 +153,64 @@ def replace_module(model: Module, dotted: str, new_module: Module) -> None:
     for part in parts[:-1]:
         parent = parent._modules[part]
     parent.add_module(parts[-1], new_module)
+
+
+Layer = TypeVar("Layer")
+Choice = TypeVar("Choice")
+
+
+def factorize_largest_first(
+    convs: Iterable[Tuple[Layer, int, int, int]],
+    budget: int,
+    min_out: int,
+    min_in: int,
+    plan: Callable[[int, int, int, int], Tuple[int, Choice]],
+    commit: Callable[[Layer, Choice], None],
+) -> int:
+    """Factorise the largest convolutions until ``budget`` weights are saved.
+
+    ``convs`` lists ``(layer, f, c, k)`` for each plain convolution of a
+    model, in definition order.  Those with ``k >= 2``, ``f >= min_out`` and
+    ``c >= min_in`` are visited largest weight first (ties keep their
+    order).  ``plan(f, c, k, needed)`` returns the weights the factorised
+    kernel keeps and the choice (ranks, basis size) that keeps them; a layer
+    whose plan would not shrink it is skipped, the rest are handed to
+    ``commit(layer, choice)``, and the walk stops once the budget is met.
+    Returns the weights saved.
+    """
+    candidates = sorted(
+        (conv for conv in convs if conv[3] >= 2 and conv[1] >= min_out and conv[2] >= min_in),
+        key=lambda conv: -conv[1] * conv[2] * conv[3] * conv[3],
+    )
+    saved = 0
+    for layer, f, c, k in candidates:
+        if saved >= budget:
+            break
+        size = f * c * k * k
+        new_size, choice = plan(f, c, k, budget - saved)
+        if new_size < size:
+            commit(layer, choice)
+            saved += size - new_size
+    return saved
+
+
+def factorize_convs(
+    model: Module,
+    budget: int,
+    min_out: int,
+    min_in: int,
+    plan: Callable[[int, int, int, int], Tuple[int, Choice]],
+    build: Callable[[Conv2d, Choice], Module],
+) -> int:
+    """:func:`factorize_largest_first` over ``model``'s ``Conv2d`` layers,
+    swapping each chosen one for ``build(conv, choice)``."""
+    convs = [
+        ((name, module), *module.weight.shape[:2], module.kernel_size)
+        for name, module in model.named_modules()
+        if isinstance(module, Conv2d)
+    ]
+
+    def swap(layer: Tuple[str, Conv2d], choice: Choice) -> None:
+        replace_module(model, layer[0], build(layer[1], choice))
+
+    return factorize_largest_first(convs, budget, min_out, min_in, plan, swap)

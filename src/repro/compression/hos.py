@@ -18,17 +18,16 @@ decomposition (the paper's two-stage design).
 
 from __future__ import annotations
 
-import copy
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
 from ..models.pruning import PrunableUnit
 from ..nn import Conv2d, Module
 from ..nn.losses import cross_entropy, mse_loss
-from ..nn.tensor import Tensor, no_grad
-from .base import CompressionMethod, ExecutionContext, StepReport
-from .factorized import TuckerConv2d, replace_module
+from ..nn.tensor import Tensor
+from .base import CompressionMethod, ExecutionContext, StepReport, distill
+from .factorized import TuckerConv2d, factorize_convs
 from .hooi import choose_tucker_ranks, tucker2, tucker2_params
 from .surgery import filter_l1_norms, prune_by_scores
 
@@ -81,6 +80,13 @@ def saving_ranks(f: int, c: int, k: int, needed: int) -> Tuple[int, int]:
     return choose_tucker_ranks(f, c, k, max(size - needed, size // 8))
 
 
+def tucker_plan(f: int, c: int, k: int, needed: int) -> Tuple[int, Tuple[int, int]]:
+    """TE7's plan for the factorisation walk: the weights an (f, c, k, k)
+    kernel keeps at its :func:`saving_ranks`, and those ranks."""
+    ranks = saving_ranks(f, c, k, needed)
+    return tucker2_params(f, c, k, *ranks), ranks
+
+
 def _aggregate(scores: np.ndarray, mode: str) -> np.ndarray:
     """HP11 global aggregation of one unit's local scores."""
     if mode == "P1":  # z-score within the layer
@@ -104,95 +110,53 @@ class HOSCompression(CompressionMethod):
     max_ratio = 0.9  # most of a unit's channels TE6 may prune
     min_channels_for_tucker = 8
 
-    def apply(self, model: Module, hp: Dict[str, object], ctx: ExecutionContext) -> StepReport:
-        params_before = model.num_parameters()
+    def compress(
+        self, model: Module, hp: Dict[str, object], ctx: ExecutionContext, report: StepReport
+    ) -> None:
         budget = ctx.param_budget(float(hp["HP2"]))
+        opt_epochs = ctx.epochs(float(hp.get("HP13", 0.3)))
+        ft_epochs = ctx.epochs(float(hp["HP1"]))
+        mse_factor = float(hp.get("HP14", 1.0))
+
+        def prune_and_factorize() -> int:
+            removed = self.prune(model, hp, budget)
+            return removed + self.factorize(model, budget - removed)
+
+        # TE3: fine-tune with an auxiliary reconstruction loss
+        def loss(logits: Tensor, targets: np.ndarray, teacher_logits: np.ndarray) -> Tensor:
+            return cross_entropy(logits, targets) + mse_loss(logits, teacher_logits) * mse_factor
+
+        removed = distill(model, prune_and_factorize, opt_epochs + ft_epochs, loss, ctx)
+        report.fine_tune_epochs = ft_epochs
+        report.train_epochs = opt_epochs
+        report.details = {"params_removed": removed, "mse_factor": mse_factor}
+
+    def prune(self, model: Module, hp: Dict[str, object], budget: int) -> int:
+        """TE6: global pruning by higher-order statistics, to HOS's share of
+        ``budget``; returns the parameters removed."""
         criterion = _LOCAL_CRITERIA[str(hp.get("HP12", "l1norm"))]
         aggregation = str(hp.get("HP11", "P1"))
-        teacher = copy.deepcopy(model) if ctx.train_enabled else None
-
-        # ---- TE6: global pruning by higher-order statistics --------------
-        prune_budget = int(round(budget * self.prune_share))
         scores = {
             u.name: _aggregate(criterion(u), aggregation)
             for u in model.pruning_units()
         }
-        removed = prune_by_scores(model, scores, prune_budget, max_ratio=self.max_ratio)
-
-        # ---- TE7: HOOI Tucker-2 on the largest remaining kernels ---------
-        lowrank_budget = budget - removed
-        removed += self._factorize(model, lowrank_budget)
-
-        # ---- TE3: fine-tune with auxiliary reconstruction loss ------------
-        opt_epochs = ctx.epochs(float(hp.get("HP13", 0.3)))
-        ft_epochs = ctx.epochs(float(hp["HP1"]))
-        mse_factor = float(hp.get("HP14", 1.0))
-        self._train(model, teacher, opt_epochs + ft_epochs, mse_factor, ctx)
-
-        return StepReport(
-            method=self.label,
-            params_before=params_before,
-            params_after=model.num_parameters(),
-            fine_tune_epochs=ft_epochs,
-            train_epochs=opt_epochs,
-            details={"params_removed": removed, "mse_factor": mse_factor},
+        return prune_by_scores(
+            model, scores, int(round(budget * self.prune_share)), max_ratio=self.max_ratio
         )
 
-    # ------------------------------------------------------------------ #
-    def _factorize(self, model: Module, budget: int) -> int:
-        """Replace the largest conv kernels with Tucker-2 factorisations."""
-        if budget <= 0:
-            return 0
-        candidates: List[tuple] = []
-        for name, module in model.named_modules():
-            if not isinstance(module, Conv2d):
-                continue
-            f, c, kh, _ = module.weight.shape
-            if module.kernel_size < 2:
-                continue
-            if f < self.min_channels_for_tucker or c < self.min_channels_for_tucker:
-                continue
-            candidates.append((module.weight.size, name, module))
-        candidates.sort(reverse=True, key=lambda t: t[0])
+    def factorize(self, model: Module, budget: int) -> int:
+        """TE7: HOOI Tucker-2 on the largest remaining kernels."""
+        return factorize_convs(
+            model,
+            budget,
+            self.min_channels_for_tucker,
+            self.min_channels_for_tucker,
+            tucker_plan,
+            _tucker_layer,
+        )
 
-        saved_total = 0
-        for size, name, conv in candidates:
-            if saved_total >= budget:
-                break
-            f, c, k, _ = conv.weight.shape
-            ro, ri = saving_ranks(f, c, k, budget - saved_total)
-            new_size = tucker2_params(f, c, k, ro, ri)
-            if new_size >= size:
-                continue
-            core, u_out, u_in = tucker2(conv.weight.data, ro, ri)
-            bias = conv.bias.data.copy() if conv.bias is not None else None
-            replace_module(
-                model,
-                name,
-                TuckerConv2d(u_in, core, u_out, bias, conv.stride, conv.padding),
-            )
-            saved_total += size - new_size
-        return saved_total
 
-    # ------------------------------------------------------------------ #
-    def _train(
-        self,
-        model: Module,
-        teacher: Module,
-        epochs: float,
-        mse_factor: float,
-        ctx: ExecutionContext,
-    ) -> None:
-        if not ctx.train_enabled or epochs <= 0 or ctx.dataset is None or ctx.trainer is None:
-            return
-        teacher.eval()
-
-        def loss_fn(logits: Tensor, targets: np.ndarray, idx: np.ndarray) -> Tensor:
-            loss = cross_entropy(logits, targets)
-            if teacher is not None and mse_factor > 0:
-                with no_grad():
-                    with_teacher = teacher(Tensor(ctx.dataset.images[idx])).data
-                loss = loss + mse_loss(logits, with_teacher) * mse_factor
-            return loss
-
-        ctx.trainer.fit(model, ctx.dataset, epochs, loss_fn=loss_fn)
+def _tucker_layer(conv: Conv2d, ranks: Tuple[int, int]) -> TuckerConv2d:
+    core, u_out, u_in = tucker2(conv.weight.data, *ranks)
+    bias = conv.bias.data.copy() if conv.bias is not None else None
+    return TuckerConv2d(u_in, core, u_out, bias, conv.stride, conv.padding)

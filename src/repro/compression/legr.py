@@ -162,8 +162,9 @@ class LeGR(CompressionMethod):
                 population.remove(min(population, key=lambda i: i.fitness))
         return max(population, key=lambda i: i.fitness)
 
-    def apply(self, model: Module, hp: Dict[str, object], ctx: ExecutionContext) -> StepReport:
-        params_before = model.num_parameters()
+    def compress(
+        self, model: Module, hp: Dict[str, object], ctx: ExecutionContext, report: StepReport
+    ) -> None:
         budget = ctx.param_budget(float(hp["HP2"]))
         max_ratio = float(hp.get("HP6", 0.9))
         criterion = _CRITERIA[str(hp.get("HP8", "l2_weight"))]
@@ -189,7 +190,7 @@ class LeGR(CompressionMethod):
         execute_plan(units, ranking.plan(best.alpha, best.kappa))
         # One-shot plans undershoot the budget on chain topologies (unit
         # costs interact); top up with the learned ranking's criterion.
-        removed_so_far = params_before - model.num_parameters()
+        removed_so_far = report.params_before - model.num_parameters()
         if removed_so_far < self.top_up_below * budget:
             units = model.pruning_units()
             top_up_scores = {
@@ -202,12 +203,6 @@ class LeGR(CompressionMethod):
                 max_ratio=max_ratio, score_fn=criterion,
             )
 
-        ft_epochs = ctx.epochs(float(hp["HP1"]))
-        fine_tune(model, ft_epochs, ctx)
-        return StepReport(
-            method=self.label,
-            params_before=params_before,
-            params_after=model.num_parameters(),
-            fine_tune_epochs=ft_epochs,
-            details={"generations": generations, "best_fitness": best.fitness},
-        )
+        report.fine_tune_epochs = ctx.epochs(float(hp["HP1"]))
+        fine_tune(model, report.fine_tune_epochs, ctx)
+        report.details = {"generations": generations, "best_fitness": best.fitness}

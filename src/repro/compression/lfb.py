@@ -13,17 +13,16 @@ Layers are factorised largest-first until the HP2 parameter budget is met.
 
 from __future__ import annotations
 
-import copy
-from typing import Dict, List
+from typing import Dict, Tuple
 
 import numpy as np
 
 from ..nn import Conv2d, Module
 from ..nn import functional as F
 from ..nn.losses import cross_entropy, mse_loss, nll_loss
-from ..nn.tensor import Tensor, no_grad
-from .base import CompressionMethod, ExecutionContext, StepReport
-from .factorized import BasisConv2d, replace_module
+from ..nn.tensor import Tensor
+from .base import CompressionMethod, ExecutionContext, StepReport, distill
+from .factorized import BasisConv2d, factorize_convs
 
 
 def basis_params(f: int, c: int, k: int, b: int) -> int:
@@ -48,6 +47,24 @@ def choose_basis_size(f: int, c: int, k: int, needed: int) -> int:
     return int(np.clip(b, 1, _max_useful_basis(f, c, k)))
 
 
+def basis_plan(f: int, c: int, k: int, needed: int) -> Tuple[int, int]:
+    """LFB's plan for the factorisation walk: the weights an (f, c, k, k)
+    kernel keeps at its :func:`choose_basis_size`, and that size."""
+    b = choose_basis_size(f, c, k, needed)
+    return basis_params(f, c, k, b), b
+
+
+def _auxiliary_loss(kind: str, student_logits: Tensor, teacher_logits: np.ndarray) -> Tensor:
+    """HP16's distillation term against the teacher's logits."""
+    if kind == "MSE":
+        return mse_loss(student_logits, teacher_logits)
+    if kind == "CE":
+        return cross_entropy(student_logits, teacher_logits.argmax(axis=-1))
+    if kind == "NLL":
+        return nll_loss(F.log_softmax(student_logits, axis=-1), teacher_logits.argmax(axis=-1))
+    raise ValueError(f"unknown HP16 auxiliary loss {kind!r}")
+
+
 class LearningFilterBasis(CompressionMethod):
     """Low-rank filter-basis approximation with auxiliary-loss training."""
 
@@ -57,57 +74,31 @@ class LearningFilterBasis(CompressionMethod):
 
     min_channels = 8
 
-    def apply(self, model: Module, hp: Dict[str, object], ctx: ExecutionContext) -> StepReport:
-        params_before = model.num_parameters()
+    def compress(
+        self, model: Module, hp: Dict[str, object], ctx: ExecutionContext, report: StepReport
+    ) -> None:
         budget = ctx.param_budget(float(hp["HP2"]))
-        teacher = copy.deepcopy(model) if ctx.train_enabled else None
-
-        saved = self._factorize(model, budget)
-
         ft_epochs = ctx.epochs(float(hp["HP1"]))
-        self._train(
-            model,
-            teacher,
-            ft_epochs,
-            float(hp.get("HP15", 1.0)),
-            str(hp.get("HP16", "MSE")),
-            ctx,
-        )
-        return StepReport(
-            method=self.label,
-            params_before=params_before,
-            params_after=model.num_parameters(),
-            fine_tune_epochs=ft_epochs,
-            details={"params_saved": saved},
-        )
+        factor = float(hp.get("HP15", 1.0))
+        aux_kind = str(hp.get("HP16", "MSE"))
 
-    # ------------------------------------------------------------------ #
-    def _factorize(self, model: Module, budget: int) -> int:
-        candidates: List[tuple] = []
-        for name, module in model.named_modules():
-            if not isinstance(module, Conv2d):
-                continue
-            f, c, k, _ = module.weight.shape
-            if f < self.min_channels or module.kernel_size < 2:
-                continue
-            candidates.append((module.weight.size, name, module))
-        candidates.sort(reverse=True, key=lambda t: t[0])
+        def loss(logits: Tensor, targets: np.ndarray, teacher_logits: np.ndarray) -> Tensor:
+            task = cross_entropy(logits, targets)
+            return task + _auxiliary_loss(aux_kind, logits, teacher_logits) * factor
 
-        saved_total = 0
-        for size, name, conv in candidates:
-            if saved_total >= budget:
-                break
-            f, c, k, _ = conv.weight.shape
-            b = choose_basis_size(f, c, k, budget - saved_total)
-            basis, coeffs = self._svd_basis(conv.weight.data, b)
-            bias = conv.bias.data.copy() if conv.bias is not None else None
-            replace_module(
-                model,
-                name,
-                BasisConv2d(basis, coeffs, bias, conv.stride, conv.padding),
-            )
-            saved_total += size - basis_params(f, c, k, b)
-        return saved_total
+        saved = distill(model, lambda: self.factorize(model, budget), ft_epochs, loss, ctx)
+        report.fine_tune_epochs = ft_epochs
+        report.details = {"params_saved": saved}
+
+    def factorize(self, model: Module, budget: int) -> int:
+        """TE9: filter-basis factorisation of the largest kernels."""
+        return factorize_convs(model, budget, self.min_channels, 1, basis_plan, self._basis_layer)
+
+    @classmethod
+    def _basis_layer(cls, conv: Conv2d, b: int) -> BasisConv2d:
+        basis, coeffs = cls._svd_basis(conv.weight.data, b)
+        bias = conv.bias.data.copy() if conv.bias is not None else None
+        return BasisConv2d(basis, coeffs, bias, conv.stride, conv.padding)
 
     @staticmethod
     def _svd_basis(weight: np.ndarray, b: int):
@@ -130,36 +121,3 @@ class LearningFilterBasis(CompressionMethod):
         coeffs = u * s
         basis = vt.reshape(b, c, kh, kw)
         return basis, coeffs
-
-    # ------------------------------------------------------------------ #
-    def _train(
-        self,
-        model: Module,
-        teacher: Module,
-        epochs: float,
-        factor: float,
-        aux_kind: str,
-        ctx: ExecutionContext,
-    ) -> None:
-        if not ctx.train_enabled or epochs <= 0 or ctx.dataset is None or ctx.trainer is None:
-            return
-        teacher.eval()
-
-        def aux(student_logits: Tensor, teacher_logits: np.ndarray) -> Tensor:
-            if aux_kind == "MSE":
-                return mse_loss(student_logits, teacher_logits)
-            if aux_kind == "CE":
-                return cross_entropy(student_logits, teacher_logits.argmax(axis=-1))
-            if aux_kind == "NLL":
-                return nll_loss(
-                    F.log_softmax(student_logits, axis=-1),
-                    teacher_logits.argmax(axis=-1),
-                )
-            raise ValueError(f"unknown HP16 auxiliary loss {aux_kind!r}")
-
-        def loss_fn(logits: Tensor, targets: np.ndarray, idx: np.ndarray) -> Tensor:
-            with no_grad():
-                teacher_logits = teacher(Tensor(ctx.dataset.images[idx])).data
-            return cross_entropy(logits, targets) + aux(logits, teacher_logits) * factor
-
-        ctx.trainer.fit(model, ctx.dataset, epochs, loss_fn=loss_fn)

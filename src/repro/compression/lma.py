@@ -12,15 +12,14 @@ by temperature HP4, for HP1 fine-tune epochs.
 
 from __future__ import annotations
 
-import copy
 from typing import Dict
 
 import numpy as np
 
 from ..nn import Module
 from ..nn.losses import lma_distillation_loss
-from ..nn.tensor import Tensor, no_grad
-from .base import CompressionMethod, ExecutionContext, StepReport
+from ..nn.tensor import Tensor
+from .base import CompressionMethod, ExecutionContext, StepReport, distill
 from .surgery import uniform_width_scale
 
 
@@ -33,32 +32,19 @@ class LMADistillation(CompressionMethod):
 
     segments = 4
 
-    def apply(self, model: Module, hp: Dict[str, object], ctx: ExecutionContext) -> StepReport:
-        params_before = model.num_parameters()
+    def compress(
+        self, model: Module, hp: Dict[str, object], ctx: ExecutionContext, report: StepReport
+    ) -> None:
         budget = ctx.param_budget(float(hp["HP2"]))
-        teacher = copy.deepcopy(model) if ctx.train_enabled else None
-
-        uniform_width_scale(model, budget)
-
         ft_epochs = ctx.epochs(float(hp["HP1"]))
         temperature = float(hp.get("HP4", 3.0))
         alpha = float(hp.get("HP5", 0.5))
-        if ctx.train_enabled and ctx.dataset is not None and ctx.trainer is not None and ft_epochs > 0:
-            teacher.eval()
 
-            def loss_fn(logits: Tensor, targets: np.ndarray, idx: np.ndarray) -> Tensor:
-                with no_grad():
-                    teacher_logits = teacher(Tensor(ctx.dataset.images[idx])).data
-                return lma_distillation_loss(
-                    logits, teacher_logits, targets, temperature, alpha, self.segments
-                )
+        def loss(logits: Tensor, targets: np.ndarray, teacher_logits: np.ndarray) -> Tensor:
+            return lma_distillation_loss(
+                logits, teacher_logits, targets, temperature, alpha, self.segments
+            )
 
-            ctx.trainer.fit(model, ctx.dataset, ft_epochs, loss_fn=loss_fn)
-
-        return StepReport(
-            method=self.label,
-            params_before=params_before,
-            params_after=model.num_parameters(),
-            fine_tune_epochs=ft_epochs,
-            details={"temperature": temperature, "alpha": alpha},
-        )
+        distill(model, lambda: uniform_width_scale(model, budget), ft_epochs, loss, ctx)
+        report.fine_tune_epochs = ft_epochs
+        report.details = {"temperature": temperature, "alpha": alpha}

@@ -24,16 +24,11 @@ class NetworkSlimming(CompressionMethod):
     name = "NS"
     techniques = ("TE4", "TE3")
 
-    def apply(self, model: Module, hp: Dict[str, object], ctx: ExecutionContext) -> StepReport:
-        params_before = model.num_parameters()
+    def compress(
+        self, model: Module, hp: Dict[str, object], ctx: ExecutionContext, report: StepReport
+    ) -> None:
         budget = ctx.param_budget(float(hp["HP2"]))
         scores = {u.name: bn_scale_magnitudes(u) for u in model.pruning_units()}
         prune_by_scores(model, scores, budget, max_ratio=float(hp.get("HP6", 0.9)))
-        ft_epochs = ctx.epochs(float(hp["HP1"]))
-        fine_tune(model, ft_epochs, ctx)
-        return StepReport(
-            method=self.label,
-            params_before=params_before,
-            params_after=model.num_parameters(),
-            fine_tune_epochs=ft_epochs,
-        )
+        report.fine_tune_epochs = ctx.epochs(float(hp["HP1"]))
+        fine_tune(model, report.fine_tune_epochs, ctx)

@@ -68,8 +68,9 @@ class PostTrainingQuantization(CompressionMethod):
     name = "PTQ"
     techniques = ("TE10",)
 
-    def apply(self, model: Module, hp: Dict[str, object], ctx: ExecutionContext) -> StepReport:
-        params_before = model.num_parameters()
+    def compress(
+        self, model: Module, hp: Dict[str, object], ctx: ExecutionContext, report: StepReport
+    ) -> None:
         mode = str(hp.get("HP19", "int8"))
         calib_batches = int(hp.get("HP20", 2))
 
@@ -79,14 +80,8 @@ class PostTrainingQuantization(CompressionMethod):
         quantize_module(model, mode=mode, calibration=calibration)
 
         bits = quantized_bits(model)
-        return StepReport(
-            method=self.label,
-            params_before=params_before,
-            params_after=model.num_parameters(),
-            fine_tune_epochs=0.0,
-            details={
-                "effective_bits": float(bits if bits is not None else 32),
-                "calibration_batches": float(calib_batches if mode == "int8" else 0),
-                "static_scales": 1.0 if calibration is not None else 0.0,
-            },
-        )
+        report.details = {
+            "effective_bits": float(bits if bits is not None else 32),
+            "calibration_batches": float(calib_batches if mode == "int8" else 0),
+            "static_scales": 1.0 if calibration is not None else 0.0,
+        }

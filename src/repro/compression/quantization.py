@@ -53,8 +53,9 @@ class IncrementalQuantization(CompressionMethod):
 
     iterations = 3
 
-    def apply(self, model: Module, hp: Dict[str, object], ctx: ExecutionContext) -> StepReport:
-        params_before = model.num_parameters()
+    def compress(
+        self, model: Module, hp: Dict[str, object], ctx: ExecutionContext, report: StepReport
+    ) -> None:
         bits = int(hp.get("HP17", 5))
         portion = float(hp.get("HP18", 0.5))  # fraction quantised per iteration
         ft_epochs = ctx.epochs(float(hp.get("HP1", 0.1)))
@@ -73,7 +74,7 @@ class IncrementalQuantization(CompressionMethod):
                 newly = free & (np.abs(p.data) >= threshold)
                 p.data[newly] = quantize_to_power_of_two(p.data[newly], bits)
                 frozen |= newly
-            if ctx.train_enabled and ctx.dataset is not None and ctx.trainer is not None:
+            if ctx.can_train:
 
                 def refreeze(m: Module, step: int) -> None:
                     for p, frozen in zip(params, frozen_masks):
@@ -88,10 +89,5 @@ class IncrementalQuantization(CompressionMethod):
             p.data[~frozen] = quantize_to_power_of_two(p.data[~frozen], bits)
             frozen[:] = True
 
-        return StepReport(
-            method=self.label,
-            params_before=params_before,
-            params_after=model.num_parameters(),
-            fine_tune_epochs=ft_epochs,
-            details={"effective_bits": float(bits), "iterations": float(self.iterations)},
-        )
+        report.fine_tune_epochs = ft_epochs
+        report.details = {"effective_bits": float(bits), "iterations": float(self.iterations)}

@@ -40,13 +40,14 @@ class SoftFilterPruning(CompressionMethod):
         scores = {u.name: filter_l2_norms(u) for u in units}
         return units, plan_global_pruning(units, scores, budget, max_ratio=self.max_ratio)
 
-    def apply(self, model: Module, hp: Dict[str, object], ctx: ExecutionContext) -> StepReport:
-        params_before = model.num_parameters()
+    def compress(
+        self, model: Module, hp: Dict[str, object], ctx: ExecutionContext, report: StepReport
+    ) -> None:
         budget = ctx.param_budget(float(hp["HP2"]))
         train_epochs = ctx.epochs(float(hp["HP9"]))
         frequency = max(1, int(hp["HP10"]))
 
-        if ctx.train_enabled and ctx.dataset is not None and ctx.trainer is not None:
+        if ctx.can_train:
 
             def soft_prune_hook(m: Module, step: int) -> None:
                 if step % frequency != 0:
@@ -68,10 +69,5 @@ class SoftFilterPruning(CompressionMethod):
             model, scores, budget, max_ratio=self.max_ratio,
             score_fn=filter_l2_norms,
         )
-        return StepReport(
-            method=self.label,
-            params_before=params_before,
-            params_after=model.num_parameters(),
-            train_epochs=train_epochs,
-            details={"update_frequency": frequency},
-        )
+        report.train_epochs = train_epochs
+        report.details = {"update_frequency": frequency}

@@ -140,11 +140,6 @@ def synthetic_cifar10(num_samples: int = 512, seed: int = 0) -> SyntheticImageDa
     return SyntheticImageDataset(10, num_samples, 32, 3, seed=seed, name="synthetic-cifar10")
 
 
-def synthetic_cifar100(num_samples: int = 1024, seed: int = 0) -> SyntheticImageDataset:
-    """CIFAR-100-shaped synthetic dataset (100 classes, 3x32x32)."""
-    return SyntheticImageDataset(100, num_samples, 32, 3, seed=seed, name="synthetic-cifar100")
-
-
 def tiny_dataset(num_classes: int = 4, num_samples: int = 160, image_size: int = 8, seed: int = 0) -> SyntheticImageDataset:
     """Small dataset for fast unit tests and real-training examples."""
     return SyntheticImageDataset(

@@ -8,7 +8,6 @@ from .calibration import (
     TABLE3_ACC40,
     MethodCurve,
     method_curve,
-    supported_tasks,
 )
 
 __all__ = [
@@ -20,5 +19,4 @@ __all__ = [
     "TABLE2_ANCHORS",
     "TABLE3_ACC40",
     "method_curve",
-    "supported_tasks",
 ]

@@ -148,7 +148,3 @@ def method_curve(method: str, model: str, dataset: str) -> MethodCurve:
         d2 = d1 * (ref_d2 / ref_d1)
         return _fit_curve(0.40, d1, 0.70, d2)
     raise KeyError(f"no calibration anchors for {key}")
-
-
-def supported_tasks() -> Tuple[Tuple[str, str], ...]:
-    return tuple(sorted(BASELINE_ACCURACY))

@@ -18,7 +18,9 @@ import os
 import pytest
 
 from repro.analysis import Budget, SchemeCostModel, lint_scheme, profile_model
+from repro.analysis.costmodel import AbstractModel, _tucker_walk
 from repro.analysis.linter import SchemeRejected
+from repro.compression import METHODS, ExecutionContext
 from repro.core.config import EvaluatorConfig
 from repro.data.tasks import EXP1, transfer_task
 from repro.models import available_models, create_model, resnet20
@@ -61,7 +63,8 @@ PREDICTED_SCHEMES = [
     "C1[HP1=0.1,HP2=0.12,HP4=3,HP5=0.3] -> C4[HP2=0.2,HP9=0.1,HP10=3] -> C8[HP19=int8,HP20=2]",
     "C3[HP1=0.1,HP2=0.12,HP6=0.9] -> C2[HP1=0.1,HP2=0.2,HP6=0.9,HP7=0.4,HP8=l2_bn_param]"
     " -> C7[HP1=0.1,HP17=5,HP18=0.5]",
-    "C6[HP1=0.1,HP2=0.12,HP15=1,HP16=CE] -> C5[HP1=0.1,HP2=0.12,HP11=P3,HP12=l1norm,HP13=0.3,HP14=1]"
+    "C6[HP1=0.1,HP2=0.12,HP15=1,HP16=CE]"
+    " -> C5[HP1=0.1,HP2=0.12,HP11=P3,HP12=l1norm,HP13=0.3,HP14=1]"
     " -> C3[HP1=0.1,HP2=0.12,HP6=0.7]",
 ]
 
@@ -130,6 +133,114 @@ def test_predictions_match_goldens(name, space, update_goldens):
 
     with open(PREDICTIONS) as handle:
         assert predicted == json.load(handle)[name]
+
+
+# --------------------------------------------------------------------------- #
+# The factorisation walk, layer by layer
+# --------------------------------------------------------------------------- #
+#: HOS at every HP11 x HP12 pair and LFB at every HP16, at two budgets each
+WALK_STEPS = [
+    *(
+        f"C5[HP1=0.1,HP2={hp2},HP11={hp11},HP12={hp12},HP13=0.3,HP14=1]"
+        for hp2 in (0.12, 0.44)
+        for hp11, hp12 in itertools.product(HP_GRID["HP11"], HP_GRID["HP12"])
+    ),
+    *(
+        f"C6[HP1=0.1,HP2={hp2},HP15=1,HP16={hp16}]"
+        for hp2 in (0.12, 0.44)
+        for hp16 in HP_GRID["HP16"]
+    ),
+]
+#: pinned chains that run the walk after and before other steps
+WALK_CHAINS = [
+    "C3[HP1=0.1,HP2=0.12,HP6=0.7] -> C5[HP1=0.1,HP2=0.2,HP11=P2,HP12=l1norm,HP13=0.3,HP14=1]",
+    "C6[HP1=0.1,HP2=0.12,HP15=1,HP16=CE]"
+    " -> C5[HP1=0.1,HP2=0.12,HP11=P3,HP12=l1norm,HP13=0.3,HP14=1]"
+    " -> C3[HP1=0.1,HP2=0.12,HP6=0.7]",
+]
+
+
+def _nodes(state: AbstractModel) -> list:
+    """Path, kind, channels and factorisation (ranks, basis) of each op
+    that carries parameters or FLOPs."""
+    return [
+        (op.path, op.kind, op.in_ch, op.out_ch, op.r_out, op.r_in, op.basis)
+        for op in state.ops
+        if op.kind != "zero"
+    ]
+
+
+def _channels(nodes: list) -> list:
+    return [node[:4] for node in nodes]
+
+
+@pytest.mark.parametrize("name", available_models())
+def test_walk_matches_execution_layer_by_layer(name, space):
+    """The cost model's C5/C6 effect signatures factorise the same layers,
+    at the same ranks or basis sizes, as the executed methods.
+
+    LFB has no pruning, so its predicted state equals the executed model
+    node by node.  HOS first prunes by weight statistics, which the cost
+    model predicts only statistically; so HOS's walk is checked on the
+    executed TE6 result (the cost model's walk on its trace against the
+    executed TE7), and the whole predicted state is checked wherever its
+    channels equal the executed ones."""
+    base = create_model(name)
+    cost_model = SchemeCostModel(base)
+    hos = METHODS["C5"]
+    ctx = ExecutionContext(original_params=cost_model.base_params, train_enabled=False)
+    for text in WALK_STEPS + WALK_CHAINS:
+        scheme = space.parse_scheme(text)
+        predicted = _nodes(cost_model.state(scheme))
+        if text.startswith("C5") and "->" not in text:
+            hp = scheme.strategies[0].hp
+            budget = ctx.param_budget(float(hp["HP2"]))
+            executed = copy.deepcopy(base)
+            removed = hos.prune(executed, hp, budget)
+            walked = AbstractModel.from_model(executed)
+            hos.factorize(executed, budget - removed)
+            _tucker_walk(walked, budget - removed)
+            executed = _nodes(AbstractModel.from_model(executed))
+            assert _nodes(walked) == executed, (name, text)
+        else:
+            executed = _nodes(AbstractModel.from_model(
+                apply_scheme(copy.deepcopy(base), scheme, cost_model.base_params)
+            ))
+        if text.startswith("C6") and "->" not in text:
+            assert predicted == executed, (name, text)
+        elif _channels(predicted) == _channels(executed):
+            assert predicted == executed, (name, text)
+
+
+# --------------------------------------------------------------------------- #
+# Structural steps after real PTQ
+# --------------------------------------------------------------------------- #
+PTQ = "C8[HP19=int8,HP20=2]"
+#: one setting of every structural method
+STRUCTURAL_STEPS = [
+    "C1[HP1=0.1,HP2=0.28,HP4=3,HP5=0.3]",
+    "C2[HP1=0.1,HP2=0.28,HP6=0.7,HP7=0.4,HP8=l1_weight]",
+    "C3[HP1=0.1,HP2=0.28,HP6=0.9]",
+    "C4[HP2=0.28,HP9=0.1,HP10=3]",
+    "C5[HP1=0.1,HP2=0.28,HP11=P2,HP12=l1norm,HP13=0.3,HP14=1]",
+    "C6[HP1=0.1,HP2=0.28,HP15=1,HP16=CE]",
+]
+
+
+@pytest.mark.parametrize("name", ["resnet20", "vgg8_tiny", "resnet29_bottleneck"])
+def test_structural_steps_after_ptq_are_no_ops(name, space):
+    """PTQ swaps every Conv2d for a QuantizedConv2d, which no C1–C6 step
+    prunes or factorises: executed, a structural step after C8 changes
+    nothing, and the prediction must not change either."""
+    base = create_model(name)
+    cost_model = SchemeCostModel(base)
+    ptq = space.parse_scheme(PTQ)
+    quantized = profile_model(apply_scheme(copy.deepcopy(base), ptq, cost_model.base_params))
+    for step in STRUCTURAL_STEPS:
+        scheme = space.parse_scheme(f"{PTQ} -> {step}")
+        assert cost_model.predict(scheme) == cost_model.predict(ptq), (name, step)
+        executed = apply_scheme(copy.deepcopy(base), scheme, cost_model.base_params)
+        assert profile_model(executed) == quantized, (name, step)
 
 
 def test_quantization_affects_weight_memory_only(space):

@@ -4,15 +4,10 @@
 import numpy as np
 import pytest
 
-from repro.compression.factorized import (
-    BasisConv2d,
-    TuckerConv2d,
-    conv_like_modules,
-    replace_module,
-)
+from repro.compression.factorized import BasisConv2d, TuckerConv2d, replace_module
 from repro.compression.hooi import tucker2
 from repro.models import vgg8_tiny
-from repro.nn import Tensor
+from repro.nn import Conv2d, Tensor
 from repro.nn import functional as F
 
 # Factorised-vs-dense equivalence is asserted to ~1e-8, beyond float32.
@@ -101,7 +96,9 @@ class TestBasisConv2d:
 class TestReplacement:
     def test_replace_module_in_sequential(self, rng):
         model = vgg8_tiny(num_classes=4)
-        target_name, target = conv_like_modules(model)[1]
+        target_name, target = [
+            (name, m) for name, m in model.named_modules() if isinstance(m, Conv2d)
+        ][1]
         f, c = target.out_channels, target.in_channels
         core, u_out, u_in = tucker2(target.weight.data, max(1, f // 2), max(1, c // 2))
         replacement = TuckerConv2d(u_in, core, u_out, None, target.stride, target.padding)
@@ -112,12 +109,3 @@ class TestReplacement:
         # ... and no longer offered as a prunable producer.
         names = [u.name for u in model.pruning_units()]
         assert target_name not in names
-
-    def test_conv_like_modules_sees_replacements(self, rng):
-        model = vgg8_tiny(num_classes=4)
-        before = len(conv_like_modules(model))
-        name, conv = conv_like_modules(model)[0]
-        basis = rng.normal(size=(2, conv.in_channels, 3, 3))
-        coeffs = rng.normal(size=(conv.out_channels, 2))
-        replace_module(model, name, BasisConv2d(basis, coeffs, None, conv.stride, conv.padding))
-        assert len(conv_like_modules(model)) == before
