@@ -45,10 +45,13 @@ C6     the same walk with the plan
        :func:`~repro.compression.lfb.choose_basis_size`).
 C7     parameters/FLOPs unchanged; effective weight width becomes
        HP17 bits (weight-memory prediction only).
-C8     parameters/FLOPs unchanged; effective weight width is
-       :data:`repro.nn.quant.MODE_BITS` of HP19, the width the executed
-       quantized layers report.  Convolutions become quantized ops, which
-       later C1–C6 steps leave alone, as they leave ``QuantizedConv2d``.
+C8     effective weight width is :data:`repro.nn.quant.MODE_BITS` of
+       HP19, the width the executed quantized layers report.  Each
+       BatchNorm of a :func:`~repro.nn.quant.foldable_batchnorms` pair
+       whose conv is still plain folds away and gives the conv a bias, as
+       :func:`~repro.nn.quant.fold_batchnorm` does.  Convolutions become
+       quantized ops, which later C1–C6 steps leave alone, as they leave
+       ``QuantizedConv2d``.
 ====== ===============================================================
 
 Channel scores are weight-dependent, but their *order statistics* at init are
@@ -92,7 +95,7 @@ from ..compression.surgery import (
     greedy_removal,
     prune_in_rounds,
 )
-from ..nn.quant import MODE_BITS
+from ..nn.quant import MODE_BITS, foldable_batchnorms
 from ..space.scheme import CompressionScheme
 from .diagnostics import Report
 from .graph import ModelGraph, trace_model
@@ -105,6 +108,8 @@ DEFAULT_WEIGHT_BITS = 32
 LATENCY_FLOPS_PER_MS = 1.0e8
 #: latency proxy: fixed per-op launch overhead in milliseconds
 LATENCY_OP_OVERHEAD_MS = 0.005
+#: scheme states a SchemeCostModel caches before evicting the longest half
+STATE_CACHE_SIZE = 4096
 
 #: rule catalogue (mirrored in docs/static_analysis.md)
 S_RULES: Dict[str, str] = {
@@ -370,7 +375,9 @@ class AbstractModel:
     """Mutable symbolic model: ops in execution order plus pruning units.
 
     Channel pruning mutates unit-linked channel counts; factorisation
-    rewrites an op's kind in place.  Spatial dimensions come from the base
+    rewrites an op's kind in place.  ``folds`` holds the ``(conv, bn)`` op
+    indices of the base model's :func:`~repro.nn.quant.foldable_batchnorms`
+    pairs, for the C8 effect signature.  Spatial dimensions come from the base
     trace and never change (no compression method alters strides).
     """
 
@@ -380,11 +387,13 @@ class AbstractModel:
         units: Sequence[_Unit],
         input_elements: int,
         weight_bits: int = DEFAULT_WEIGHT_BITS,
+        folds: Sequence[Tuple[int, int]] = (),
     ):
         self.ops = ops
         self.units = tuple(units)
         self.input_elements = input_elements
         self.weight_bits = weight_bits
+        self.folds = tuple(folds)
 
     # -- construction ------------------------------------------------------ #
     @classmethod
@@ -410,10 +419,15 @@ class AbstractModel:
             )
             bn = index_of.get(id(unit.bn)) if unit.bn is not None else None
             units.append(_Unit(name=unit.name, producer=producer, bn=bn, consumers=consumers))
+        folds = [
+            (index_of[id(conv)], index_of[id(bn)])
+            for _, _, conv, bn in foldable_batchnorms(model)
+            if id(conv) in index_of and id(bn) in index_of
+        ]
 
         channels, height, width = graph.input.channels, graph.input.height, graph.input.width
         input_elements = channels * (height or 1) * (width or 1)
-        return cls(ops=ops, units=units, input_elements=input_elements)
+        return cls(ops=ops, units=units, input_elements=input_elements, folds=folds)
 
     @staticmethod
     def _op_from_node(node) -> _Op:
@@ -459,6 +473,7 @@ class AbstractModel:
             units=self.units,
             input_elements=self.input_elements,
             weight_bits=self.weight_bits,
+            folds=self.folds,
         )
 
     # -- accounting -------------------------------------------------------- #
@@ -783,6 +798,10 @@ def apply_strategy(model: AbstractModel, strategy, base_params: int) -> None:
     elif label == "C8":
         # Real PTQ: executed precision is exactly the mode's storage width.
         model.weight_bits = MODE_BITS[str(hp["HP19"])]
+        for conv, bn in model.folds:
+            if model.ops[conv].kind == "conv":
+                model.ops[conv].bias = True
+                model.ops[bn].kind = "zero"  # executed as an Identity
         for op in model.ops:
             if op.kind == "conv":
                 op.kind = "qconv"
@@ -801,21 +820,10 @@ class SchemeCostModel:
     costs one strategy application each.
     """
 
-    def __init__(
-        self,
-        model=None,
-        input_shape: Tuple[int, int, int] = (3, 32, 32),
-        base: Optional[AbstractModel] = None,
-        cache_size: int = 4096,
-    ):
-        if base is None:
-            if model is None:
-                raise ValueError("SchemeCostModel needs a model or an AbstractModel")
-            base = AbstractModel.from_model(model, input_shape=input_shape)
-        self._base = base
+    def __init__(self, model, input_shape: Tuple[int, int, int] = (3, 32, 32)):
+        base = AbstractModel.from_model(model, input_shape=input_shape)
         self.base_params = base.params()
         self.base_prediction = base.predict()
-        self._cache_size = max(cache_size, 2)
         self._states: Dict[str, AbstractModel] = {"START": base}
 
     def state(self, scheme: CompressionScheme) -> AbstractModel:
@@ -827,7 +835,7 @@ class SchemeCostModel:
         parent = self.state(scheme.prefix(scheme.length - 1))
         state = parent.clone()
         apply_strategy(state, scheme.strategies[-1], self.base_params)
-        if len(self._states) >= self._cache_size:
+        if len(self._states) >= STATE_CACHE_SIZE:
             self._evict()
         self._states[identifier] = state
         return state
@@ -836,7 +844,7 @@ class SchemeCostModel:
         # Drop the longest cached schemes first: short prefixes are the
         # shared ancestors whose reuse pays for the cache.
         victims = sorted(self._states, key=lambda k: -k.count("->"))
-        for key in victims[: self._cache_size // 2]:
+        for key in victims[: STATE_CACHE_SIZE // 2]:
             if key != "START":
                 del self._states[key]
 

@@ -16,7 +16,7 @@ R002  float64 is forbidden in the ``repro.nn`` hot paths
       silently upcasts every downstream array and halves throughput.
       Checked modules: ``functional.py``, ``layers.py``, ``optim.py``,
       ``train.py``.  Dtype *configuration* (``tensor.py``) and cold paths
-      (metrics, losses on teacher logits) may use float64 freely.
+      (losses on teacher logits) may use float64 freely.
 
 R003  every registered runtime op needs a FLOPs rule
       ``repro.nn.functional`` tags tensors with ``_register_op(out, name)``.

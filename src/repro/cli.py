@@ -93,8 +93,7 @@ def cmd_search(args) -> int:
             )
         if "budget_pruned" in stats:
             print(
-                f"static budget: {stats['budget_pruned']} candidates pruned at "
-                f"generation, {stats['budget_filtered']} filtered pre-batch, "
+                f"static budget: {stats['budget_pruned']} candidates pruned, "
                 f"{stats['budget_rejects']} lint-rejected (all at zero cost)"
             )
         if "latency_violations" in stats:

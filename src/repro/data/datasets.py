@@ -135,11 +135,6 @@ class SyntheticImageDataset:
         )
 
 
-def synthetic_cifar10(num_samples: int = 512, seed: int = 0) -> SyntheticImageDataset:
-    """CIFAR-10-shaped synthetic dataset (10 classes, 3x32x32)."""
-    return SyntheticImageDataset(10, num_samples, 32, 3, seed=seed, name="synthetic-cifar10")
-
-
 def tiny_dataset(num_classes: int = 4, num_samples: int = 160, image_size: int = 8, seed: int = 0) -> SyntheticImageDataset:
     """Small dataset for fast unit tests and real-training examples."""
     return SyntheticImageDataset(

@@ -74,11 +74,9 @@ def format_attribution(search_results: Dict[str, Dict[str, SearchResult]]) -> st
                 engine = "-"
             if "budget_pruned" in stats:
                 any_budget = True
-                pruned = str(
-                    stats.get("budget_pruned", 0)
-                    + stats.get("budget_filtered", 0)
-                    + stats.get("budget_rejects", 0)
-                )
+                # budget_filtered counts the same is_feasible refusals as
+                # budget_pruned, so it is not added again
+                pruned = str(stats.get("budget_pruned", 0) + stats.get("budget_rejects", 0))
                 drift_p = f"{stats.get('drift_params_pct', 0.0):.2f}"
                 drift_f = f"{stats.get('drift_flops_pct', 0.0):.2f}"
                 drift_a = (

@@ -3,8 +3,7 @@
 from .embedding import EmbeddingConfig, StrategyEmbeddings, learn_embeddings
 from .experience import ExperienceRecord, default_experience, nearest_strategy
 from .graph import ENTITY_TYPES, RELATIONS, KnowledgeGraph, build_knowledge_graph
-from .nn_exp import NNExp, enhance_embeddings, predict_performance
-from .persistence import load_experience, record_from_dict, record_to_dict, save_experience
+from .nn_exp import NNExp, enhance_embeddings
 from .transe import TransE, TransEConfig
 from .transr import TransR, TransRConfig
 
@@ -24,10 +23,5 @@ __all__ = [
     "default_experience",
     "enhance_embeddings",
     "learn_embeddings",
-    "load_experience",
     "nearest_strategy",
-    "predict_performance",
-    "record_from_dict",
-    "record_to_dict",
-    "save_experience",
 ]

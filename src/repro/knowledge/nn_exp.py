@@ -99,15 +99,3 @@ def enhance_embeddings(
         ),
         net,
     )
-
-
-def predict_performance(
-    net: NNExp,
-    embeddings: np.ndarray,
-    strategy_indices: np.ndarray,
-    task_features: np.ndarray,
-) -> np.ndarray:
-    """Batch (AR, PR) predictions for strategies on one task."""
-    emb = Tensor(embeddings[strategy_indices])
-    tasks = Tensor(np.tile(task_features, (len(strategy_indices), 1)))
-    return net(emb, tasks).data

@@ -28,8 +28,7 @@ from .layers import (
     ReLU,
     Sequential,
 )
-from .metrics import confusion_matrix, evaluate_metrics, per_class_accuracy, top_k_accuracy
-from .optim import SGD, Adam, CosineSchedule, Optimizer, StepSchedule
+from .optim import SGD, Adam, CosineSchedule, Optimizer
 from .quant import (
     QuantizedConv2d,
     QuantizedLinear,
@@ -73,24 +72,19 @@ __all__ = [
     "ReLU",
     "SGD",
     "Sequential",
-    "StepSchedule",
     "Tensor",
     "Trainer",
     "TrainReport",
     "calibrate_module",
     "concat",
-    "confusion_matrix",
     "default_dtype",
     "fold_batchnorm",
     "evaluate_accuracy",
-    "evaluate_metrics",
     "get_default_dtype",
     "is_grad_enabled",
     "no_grad",
-    "per_class_accuracy",
     "reset_workspace_peak",
     "set_default_dtype",
-    "top_k_accuracy",
     "functional",
     "init",
     "load_model",

@@ -113,19 +113,3 @@ class CosineSchedule:
         )
         self.optimizer.lr = lr
         return lr
-
-
-class StepSchedule:
-    """Multiply the learning rate by ``gamma`` every ``step_size`` steps."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1):
-        self.optimizer = optimizer
-        self.step_size = max(1, int(step_size))
-        self.gamma = gamma
-        self._step = 0
-
-    def step(self) -> float:
-        self._step += 1
-        if self._step % self.step_size == 0:
-            self.optimizer.lr *= self.gamma
-        return self.optimizer.lr

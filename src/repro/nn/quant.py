@@ -18,26 +18,33 @@ The int8 conv kernel shares the float conv's patch gather
 gathered into a ``(C*kh*kw, N*Ho*Wc)`` float32 matrix, the int8 -> float32
 cast happening inside the gather's one copy, and one BLAS GEMM against the
 ``(F, C*kh*kw)`` float32 weight matrix computes the whole conv.  It runs
-the same GEMM as the float path, so it is about as fast, not faster.
+the same GEMM as the float path, so it is about as fast, not faster.  The
+int8 linear kernel runs one GEMM of the quantized ``(N, in)`` input
+against the ``(in, out)`` weight transpose.
 
 Accumulating integer products in float32 BLAS is *exact* int32 arithmetic
 while every partial sum stays within float32's 2**24 integer window: each
 product is at most 127 * 127 = 16129, so sums are exact up to a fan-in of
 :data:`EXACT_FAN_IN` = 1040, which covers every conv in the ResNet zoo
-(C*kh*kw <= 64*9 = 576).  Larger fan-ins (VGG's 512*9) are split into
-chunks of at most 1040 rows, each chunk's GEMM exact, and the chunk
-products are added in float64, so every fan-in gives the exact integer
-sum (rounded once to float32).
+(C*kh*kw <= 64*9 = 576) and every zoo classifier (fan-in <= 512).  Larger
+fan-ins (VGG's 512*9) are split into chunks of at most 1040, each chunk's
+GEMM exact, and the chunk products are added in float64, so both kernels
+give the exact integer sum (rounded once to float32) at every fan-in.
+
+:class:`QuantizedConv2d` and :class:`QuantizedLinear` share one base,
+:class:`QuantizedLayer`, which owns the storage, calibration observing and
+the fp16/int8 dispatch; each adds only its geometry and kernel calls.
 
 BatchNorm folding happens at quantize time (:func:`fold_batchnorm`): each
-``Conv2d -> BatchNorm2d`` pair adjacent in registration order is collapsed
-into the conv's weights/bias and the BN becomes :class:`Identity`, so the
-quantized graph runs one kernel where the float graph ran two.
+``Conv2d -> BatchNorm2d`` pair adjacent in registration order
+(:func:`foldable_batchnorms`) is collapsed into the conv's weights/bias and
+the BN becomes :class:`Identity`, so the quantized graph runs one kernel
+where the float graph ran two.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -115,10 +122,11 @@ def _inference_only_backward(_grad: np.ndarray) -> None:
 def _exact_int_gemm(wmat: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """``wmat @ cols`` over int8-valued float32 operands, exactly.
 
-    One float32 GEMM when the fan-in keeps every partial sum inside
-    float32's integer window (``K * 127**2 < 2**24``, see the module
-    docstring); otherwise the fan-in is split into chunks that do, and
-    the exact chunk products are added in float64.
+    ``wmat`` is ``(M, K)`` and ``cols`` ``(K, N)``, K the fan-in.  One
+    float32 GEMM when the fan-in keeps every partial sum inside float32's
+    integer window (``K * 127**2 < 2**24``, see the module docstring);
+    otherwise the fan-in is split into chunks that do, and the exact chunk
+    products are added in float64.
     """
     k = wmat.shape[1]
     if k <= EXACT_FAN_IN:
@@ -190,14 +198,14 @@ def quant_linear(
     """Int8 affine map for ``(N, in)`` input and int8 ``(out, in)`` weight.
 
     Same arithmetic scheme as :func:`quant_conv2d`: per-tensor input scale,
-    per-output-channel weight scales, float32-BLAS accumulation over integer
-    values, fused requantization.  ``wmat`` accepts the precomputed
-    ``(in, out)`` float32 weight transpose.
+    per-output-channel weight scales, exact float32-BLAS accumulation over
+    integer values at any fan-in, fused requantization.  ``wmat`` accepts
+    the precomputed ``(in, out)`` float32 weight transpose.
     """
     xq, x_scale = quantize_activation(x.data, x_scale)
     if wmat is None:
         wmat = np.ascontiguousarray(qweight.T.astype(np.float32))  # (in, out)
-    acc = xq.astype(np.float32) @ wmat
+    acc = _exact_int_gemm(xq.astype(np.float32), wmat)  # (N, out)
     acc *= (np.float32(x_scale) * np.asarray(weight_scale, dtype=np.float32))[None, :]
     if bias is not None:
         acc += np.asarray(bias, dtype=np.float32)[None, :]
@@ -208,8 +216,13 @@ def quant_linear(
 # --------------------------------------------------------------------------- #
 # Quantized layers
 # --------------------------------------------------------------------------- #
-class QuantizedConv2d(Module):
-    """Inference-only Conv2d with int8 (or float16) weight storage.
+class QuantizedLayer(Module):
+    """Inference-only layer with int8 (or float16) weight storage.
+
+    The one home of what :class:`QuantizedConv2d` and
+    :class:`QuantizedLinear` share.  Each subclass adds only its geometry
+    (``_geometry`` reads it off the float layer), ``_float_op(x, weight,
+    bias)`` for fp16 and ``_int8_op(x, x_scale)``, its int8 kernel call.
 
     All quantized state lives in *buffers* (never :class:`Parameter`, which
     would force-cast back to the float default dtype): ``qweight`` int8 or
@@ -226,8 +239,6 @@ class QuantizedConv2d(Module):
         qweight: np.ndarray,
         weight_scale: Optional[np.ndarray] = None,
         bias: Optional[np.ndarray] = None,
-        stride: int = 1,
-        padding: int = 0,
         mode: str = "int8",
         x_scale: Optional[float] = None,
     ):
@@ -237,9 +248,6 @@ class QuantizedConv2d(Module):
         if mode == "int8" and weight_scale is None:
             raise ValueError("int8 mode needs per-channel weight scales")
         self.mode = mode
-        self.stride = stride
-        self.padding = padding
-        self.kernel_size = int(qweight.shape[2])
         self.register_buffer("qweight", np.asarray(qweight))
         if mode == "int8":
             self.register_buffer(
@@ -259,29 +267,19 @@ class QuantizedConv2d(Module):
         self.training = False
 
     @classmethod
-    def from_float(cls, conv: Conv2d, mode: str = "int8") -> "QuantizedConv2d":
-        """Quantize a (BN-folded) float Conv2d into a frozen inference layer."""
-        bias = conv.bias.data if conv.bias is not None else None
+    def from_float(cls, layer: Module, mode: str = "int8") -> "QuantizedLayer":
+        """Quantize a (BN-folded) float layer into a frozen inference layer."""
         if mode == "fp16":
-            return cls(
-                conv.weight.data.astype(np.float16),
-                bias=bias,
-                stride=conv.stride,
-                padding=conv.padding,
-                mode="fp16",
-            )
-        qweight, scale = quantize_weight(conv.weight.data)
-        return cls(
-            qweight, scale, bias=bias, stride=conv.stride, padding=conv.padding
-        )
+            qweight, scale = layer.weight.data.astype(np.float16), None
+        else:
+            qweight, scale = quantize_weight(layer.weight.data)
+        bias = layer.bias.data if layer.bias is not None else None
+        return cls(qweight, scale, bias=bias, mode=mode, **cls._geometry(layer))
 
-    @property
-    def in_channels(self) -> int:
-        return int(self.qweight.shape[1])
-
-    @property
-    def out_channels(self) -> int:
-        return int(self.qweight.shape[0])
+    @staticmethod
+    def _geometry(layer: Module) -> dict:
+        """Constructor keywords beyond the weights, read off the float layer."""
+        return {}
 
     @property
     def effective_bits(self) -> int:
@@ -300,12 +298,49 @@ class QuantizedConv2d(Module):
         if self.mode == "fp16":
             weight = Tensor(self.qweight.astype(np.float32))
             bias = Tensor(self.qbias) if self.qbias is not None else None
-            return F.conv2d(x, weight, bias, self.stride, self.padding)
-        if self._wmat is None:
-            self._wmat = self.qweight.reshape(self.out_channels, -1).astype(np.float32)
+            return self._float_op(x, weight, bias)
         scale = float(self.x_scale[0]) if self.x_scale is not None else None
         if self._observing:
             scale = None  # calibration forwards stay dynamic
+        return self._int8_op(x, scale)
+
+
+class QuantizedConv2d(QuantizedLayer):
+    """Inference-only Conv2d with int8 (or float16) weight storage."""
+
+    def __init__(
+        self,
+        qweight: np.ndarray,
+        weight_scale: Optional[np.ndarray] = None,
+        bias: Optional[np.ndarray] = None,
+        stride: int = 1,
+        padding: int = 0,
+        mode: str = "int8",
+        x_scale: Optional[float] = None,
+    ):
+        super().__init__(qweight, weight_scale, bias, mode, x_scale)
+        self.stride = stride
+        self.padding = padding
+        self.kernel_size = int(qweight.shape[2])
+
+    @staticmethod
+    def _geometry(layer: Conv2d) -> dict:
+        return {"stride": layer.stride, "padding": layer.padding}
+
+    @property
+    def in_channels(self) -> int:
+        return int(self.qweight.shape[1])
+
+    @property
+    def out_channels(self) -> int:
+        return int(self.qweight.shape[0])
+
+    def _float_op(self, x: Tensor, weight: Tensor, bias: Optional[Tensor]) -> Tensor:
+        return F.conv2d(x, weight, bias, self.stride, self.padding)
+
+    def _int8_op(self, x: Tensor, x_scale: Optional[float]) -> Tensor:
+        if self._wmat is None:
+            self._wmat = self.qweight.reshape(self.out_channels, -1).astype(np.float32)
         return quant_conv2d(
             x,
             self.qweight,
@@ -313,7 +348,7 @@ class QuantizedConv2d(Module):
             self.qbias,
             self.stride,
             self.padding,
-            x_scale=scale,
+            x_scale=x_scale,
             wmat=self._wmat,
         )
 
@@ -325,48 +360,8 @@ class QuantizedConv2d(Module):
         )
 
 
-class QuantizedLinear(Module):
+class QuantizedLinear(QuantizedLayer):
     """Inference-only Linear with int8 (or float16) weight storage."""
-
-    def __init__(
-        self,
-        qweight: np.ndarray,
-        weight_scale: Optional[np.ndarray] = None,
-        bias: Optional[np.ndarray] = None,
-        mode: str = "int8",
-        x_scale: Optional[float] = None,
-    ):
-        super().__init__()
-        if mode not in QUANT_MODES:
-            raise ValueError(f"mode must be one of {QUANT_MODES}, got {mode!r}")
-        if mode == "int8" and weight_scale is None:
-            raise ValueError("int8 mode needs per-channel weight scales")
-        self.mode = mode
-        self.register_buffer("qweight", np.asarray(qweight))
-        if mode == "int8":
-            self.register_buffer(
-                "weight_scale", np.asarray(weight_scale, dtype=np.float32)
-            )
-        if bias is not None:
-            self.register_buffer("qbias", np.asarray(bias, dtype=np.float32))
-        else:
-            self.qbias = None
-        if x_scale is not None:
-            self.register_buffer("x_scale", np.asarray([x_scale], dtype=np.float32))
-        else:
-            self.x_scale = None
-        self._wmat: Optional[np.ndarray] = None
-        self._observing = False
-        self.observed_absmax = 0.0
-        self.training = False
-
-    @classmethod
-    def from_float(cls, layer: Linear, mode: str = "int8") -> "QuantizedLinear":
-        bias = layer.bias.data if layer.bias is not None else None
-        if mode == "fp16":
-            return cls(layer.weight.data.astype(np.float16), bias=bias, mode="fp16")
-        qweight, scale = quantize_weight(layer.weight.data)
-        return cls(qweight, scale, bias=bias)
 
     @property
     def in_features(self) -> int:
@@ -376,32 +371,15 @@ class QuantizedLinear(Module):
     def out_features(self) -> int:
         return int(self.qweight.shape[0])
 
-    @property
-    def effective_bits(self) -> int:
-        return MODE_BITS[self.mode]
+    def _float_op(self, x: Tensor, weight: Tensor, bias: Optional[Tensor]) -> Tensor:
+        return F.linear(x, weight, bias)
 
-    def num_parameters(self) -> int:
-        total = int(self.qweight.size)
-        if self.qbias is not None:
-            total += int(self.qbias.size)
-        return total
-
-    def forward(self, x: Tensor) -> Tensor:
-        if self._observing:
-            absmax = float(np.max(np.abs(x.data))) if x.size else 0.0
-            self.observed_absmax = max(self.observed_absmax, absmax)
-        if self.mode == "fp16":
-            weight = Tensor(self.qweight.astype(np.float32))
-            bias = Tensor(self.qbias) if self.qbias is not None else None
-            return F.linear(x, weight, bias)
+    def _int8_op(self, x: Tensor, x_scale: Optional[float]) -> Tensor:
         if self._wmat is None:
             self._wmat = np.ascontiguousarray(self.qweight.T.astype(np.float32))
-        scale = float(self.x_scale[0]) if self.x_scale is not None else None
-        if self._observing:
-            scale = None
         return quant_linear(
             x, self.qweight, self.weight_scale, self.qbias,
-            x_scale=scale, wmat=self._wmat,
+            x_scale=x_scale, wmat=self._wmat,
         )
 
     def __repr__(self) -> str:
@@ -414,39 +392,48 @@ class QuantizedLinear(Module):
 # --------------------------------------------------------------------------- #
 # Module-level transforms
 # --------------------------------------------------------------------------- #
-def _fold_bn_into_conv(conv: Conv2d, bn: BatchNorm2d) -> None:
-    """Collapse an eval-mode BatchNorm into the conv that feeds it."""
-    inv_std = 1.0 / np.sqrt(bn.running_var + bn.eps)
-    scale = (bn.gamma.data * inv_std).astype(np.float32)
-    conv.weight.data = conv.weight.data * scale[:, None, None, None]
-    base = conv.bias.data if conv.bias is not None else 0.0
-    folded = (base - bn.running_mean) * scale + bn.beta.data
-    if conv.bias is None:
-        conv.bias = Parameter(folded)
-    else:
-        conv.bias.data = np.asarray(folded, dtype=conv.weight.data.dtype)
+def foldable_batchnorms(
+    model: Module,
+) -> List[Tuple[Module, str, Conv2d, BatchNorm2d]]:
+    """Every ``Conv2d -> BatchNorm2d`` pair adjacent in registration order,
+    as ``(parent, bn_name, conv, bn)``: the BNs PTQ folds.
+
+    The one pairing rule, shared by :func:`fold_batchnorm` and the static
+    cost model's C8 effect signature.
+    """
+    pairs = []
+    for module in model.modules():
+        prev: Optional[Module] = None
+        for name, child in module._modules.items():
+            if type(child) is BatchNorm2d and type(prev) is Conv2d:
+                pairs.append((module, name, prev, child))
+                prev = None
+            else:
+                prev = child
+    return pairs
 
 
 def fold_batchnorm(model: Module) -> int:
-    """Fold every ``Conv2d -> BatchNorm2d`` pair adjacent in registration
-    order into the conv; each folded BN is replaced by :class:`Identity`.
+    """Collapse each eval-mode BN of a :func:`foldable_batchnorms` pair into
+    its conv's weights and bias; the BN is replaced by :class:`Identity`.
 
     Forward-safe because models apply BN as ``self.bn(self.conv(x))`` — the
     Identity passes the (now already-normalised) conv output through.
     Returns the number of BNs folded.
     """
-    folded = 0
-    for module in list(model.modules()):
-        prev: Optional[Module] = None
-        for name, child in list(module._modules.items()):
-            if type(child) is BatchNorm2d and type(prev) is Conv2d:
-                _fold_bn_into_conv(prev, child)
-                module.add_module(name, Identity())
-                folded += 1
-                prev = None
-            else:
-                prev = child
-    return folded
+    pairs = foldable_batchnorms(model)
+    for parent, name, conv, bn in pairs:
+        inv_std = 1.0 / np.sqrt(bn.running_var + bn.eps)
+        scale = (bn.gamma.data * inv_std).astype(np.float32)
+        conv.weight.data = conv.weight.data * scale[:, None, None, None]
+        base = conv.bias.data if conv.bias is not None else 0.0
+        folded = (base - bn.running_mean) * scale + bn.beta.data
+        if conv.bias is None:
+            conv.bias = Parameter(folded)
+        else:
+            conv.bias.data = np.asarray(folded, dtype=conv.weight.data.dtype)
+        parent.add_module(name, Identity())
+    return len(pairs)
 
 
 def calibrate_module(
@@ -461,7 +448,7 @@ def calibrate_module(
     layers = [
         m
         for m in model.modules()
-        if isinstance(m, (QuantizedConv2d, QuantizedLinear)) and m.mode == "int8"
+        if isinstance(m, QuantizedLayer) and m.mode == "int8"
     ]
     for layer in layers:
         layer._observing = True
@@ -487,7 +474,6 @@ def quantize_module(
     model: Module,
     mode: str = "int8",
     calibration: Optional[Iterable[Union[np.ndarray, Tensor]]] = None,
-    fold_bn: bool = True,
 ) -> Module:
     """Post-training-quantize a model in place for reduced-precision inference.
 
@@ -505,8 +491,7 @@ def quantize_module(
     if mode not in QUANT_MODES:
         raise ValueError(f"mode must be one of {QUANT_MODES}, got {mode!r}")
     model.eval()
-    if fold_bn:
-        fold_batchnorm(model)
+    fold_batchnorm(model)
     replaced = 0
     for module in list(model.modules()):
         for name, child in list(module._modules.items()):
@@ -530,9 +515,5 @@ def quantized_bits(model: Module) -> Optional[int]:
     layers if mixed), ``None`` for a pure float model — the executed-bits
     figure the evaluator checks against the cost model's ``weight_bits``.
     """
-    bits = [
-        m.effective_bits
-        for m in model.modules()
-        if isinstance(m, (QuantizedConv2d, QuantizedLinear))
-    ]
+    bits = [m.effective_bits for m in model.modules() if isinstance(m, QuantizedLayer)]
     return max(bits) if bits else None

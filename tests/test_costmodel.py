@@ -227,6 +227,32 @@ STRUCTURAL_STEPS = [
 ]
 
 
+#: PTQ in both modes, and after a factorisation whose factorised convs
+#: keep their BatchNorms
+PTQ_SCHEMES = [
+    PTQ,
+    "C8[HP19=fp16,HP20=2]",
+    f"C6[HP1=0.1,HP2=0.28,HP15=1,HP16=CE] -> {PTQ}",
+]
+
+
+@pytest.mark.parametrize("name", available_models())
+def test_ptq_predictions_fold_batchnorms_as_executed(name, space):
+    """Executed PTQ folds each BatchNorm into the plain conv before it;
+    the prediction must count the folded model exactly."""
+    base = create_model(name)
+    cost_model = SchemeCostModel(base)
+    for text in PTQ_SCHEMES:
+        scheme = space.parse_scheme(text)
+        predicted = cost_model.predict(scheme)
+        measured = profile_model(
+            apply_scheme(copy.deepcopy(base), scheme, cost_model.base_params)
+        )
+        assert (predicted.params, predicted.flops) == (measured.params, measured.flops), (
+            name, text
+        )
+
+
 @pytest.mark.parametrize("name", ["resnet20", "vgg8_tiny", "resnet29_bottleneck"])
 def test_structural_steps_after_ptq_are_no_ops(name, space):
     """PTQ swaps every Conv2d for a QuantizedConv2d, which no C1–C6 step

@@ -7,7 +7,6 @@ from repro.data import (
     EXP1,
     EXP2,
     SyntheticImageDataset,
-    synthetic_cifar10,
     task_from_dataset,
     tiny_dataset,
     transfer_task,
@@ -23,7 +22,7 @@ class TestSyntheticDataset:
         assert 0 <= y < 5
 
     def test_standardised(self):
-        data = synthetic_cifar10(num_samples=256)
+        data = SyntheticImageDataset(num_classes=10, num_samples=256, image_size=32)
         assert abs(data.images.mean()) < 0.05
         assert abs(data.images.std() - 1.0) < 0.05
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.knowledge.experience import default_experience
-from repro.knowledge.nn_exp import NNExp, enhance_embeddings, predict_performance
+from repro.knowledge.nn_exp import NNExp, enhance_embeddings
 from repro.nn import Tensor
 from repro.space import StrategySpace
 
@@ -19,13 +19,6 @@ class TestNNExpNetwork:
         net = NNExp(embedding_dim=16)
         out = net(Tensor(rng.normal(size=(5, 16))), Tensor(rng.normal(size=(5, 7))))
         assert out.shape == (5, 2)
-
-    def test_predict_performance_tiles_task(self, small_space, rng):
-        net = NNExp(embedding_dim=8)
-        table = rng.normal(size=(len(small_space), 8))
-        task = rng.normal(size=7)
-        out = predict_performance(net, table, np.array([0, 5, 9]), task)
-        assert out.shape == (3, 2)
 
 
 class TestEnhancement:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import SGD, Adam, CosineSchedule, StepSchedule, Tensor
+from repro.nn import SGD, Adam, CosineSchedule, Tensor
 from repro.nn.layers import Parameter
 
 
@@ -78,13 +78,3 @@ class TestSchedules:
         sched = CosineSchedule(opt, total_steps=20)
         rates = [sched.step() for _ in range(20)]
         assert all(a >= b for a, b in zip(rates, rates[1:]))
-
-    def test_step_schedule(self):
-        opt = SGD([Parameter(np.zeros(1))], lr=1.0)
-        sched = StepSchedule(opt, step_size=3, gamma=0.1)
-        for _ in range(3):
-            sched.step()
-        assert opt.lr == pytest.approx(0.1)
-        for _ in range(3):
-            sched.step()
-        assert opt.lr == pytest.approx(0.01)

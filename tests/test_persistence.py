@@ -1,4 +1,4 @@
-"""Tests for scheme parsing, experience JSON persistence, and JSON export."""
+"""Tests for scheme parsing and JSON export."""
 
 import json
 
@@ -10,13 +10,6 @@ from repro.data.tasks import EXP1, transfer_task
 from repro.experiments.export import (
     result_to_dict,
     write_json,
-)
-from repro.knowledge import (
-    default_experience,
-    load_experience,
-    record_from_dict,
-    record_to_dict,
-    save_experience,
 )
 from repro.models import resnet20
 from repro.space import START
@@ -49,49 +42,6 @@ class TestSchemeParsing:
             space.parse_strategy("C3[HP99=1]")
         with pytest.raises(ValueError):
             space.parse_strategy("C3[HP1=0.123]")  # value off-grid
-
-
-class TestExperiencePersistence:
-    def test_roundtrip(self, tmp_path):
-        """The whole shipped table, C8's pr = 0 records included, reloads
-        equal to what was saved."""
-        records = default_experience()
-        assert any(r.pr == 0.0 for r in records)
-        path = str(tmp_path / "experience.json")
-        save_experience(records, path)
-        assert load_experience(path) == records
-
-    def test_record_validation(self):
-        good = record_to_dict(default_experience()[0])
-        record_from_dict(good)  # no raise
-        bad = dict(good)
-        bad["pr"] = 1.5
-        with pytest.raises(ValueError, match="pr must be"):
-            record_from_dict(bad)
-        bad["pr"] = 1.0
-        with pytest.raises(ValueError, match="pr must be"):
-            record_from_dict(bad)
-        bad["pr"] = -0.1
-        with pytest.raises(ValueError, match="pr must be"):
-            record_from_dict(bad)
-        bad = dict(good)
-        del bad["task"]
-        with pytest.raises(ValueError, match="missing 'task'"):
-            record_from_dict(bad)
-
-    def test_non_list_file_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"method": "C1"}')
-        with pytest.raises(ValueError, match="JSON list"):
-            load_experience(str(path))
-
-    def test_loaded_records_usable_for_matching(self, tmp_path, space):
-        from repro.knowledge import nearest_strategy
-
-        path = str(tmp_path / "experience.json")
-        save_experience(default_experience()[:5], path)
-        for record in load_experience(path):
-            assert nearest_strategy(space, record) is not None
 
 
 class TestJsonExport:

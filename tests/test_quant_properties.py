@@ -237,6 +237,23 @@ class TestKernelExactness:
         expected = ref.astype(np.float64) * (x_scale * w_scale)[None, :]
         np.testing.assert_allclose(got, expected, rtol=1e-6, atol=1e-6)
 
+    @pytest.mark.parametrize("k", [1041, 4608])
+    def test_quant_linear_exact_beyond_float32_fan_in(self, k):
+        """K above 1040 can overflow float32's integer window; the linear
+        kernel splits the fan-in like the conv kernel and must still match
+        the integer reference exactly on large operands in [100, 127]."""
+        rng = np.random.default_rng(k)
+        qx = rng.integers(100, 128, size=(4, k)).astype(np.int8)
+        qw = rng.integers(100, 128, size=(3, k)).astype(np.int8)
+        qw[0] = 127  # a worst-case output: all products 16129 in row 0
+        qx[0] = 127
+        got = quant_linear(
+            Tensor(qx.astype(np.float32)), qw, np.ones(3, dtype=np.float32), x_scale=1.0
+        ).data
+        ref = qx.astype(np.int64) @ qw.astype(np.int64).T
+        assert np.abs(ref).max() > 2**24  # float32 accumulation would round here
+        np.testing.assert_array_equal(got, ref.astype(np.float32))
+
     @given(
         seed=seeds,
         k=st.sampled_from([1, 3]),

@@ -5,8 +5,9 @@ import os
 
 import pytest
 
+from repro.core.search import SearchResult
 from repro.experiments import ExperimentConfig
-from repro.experiments.report import run_full_report
+from repro.experiments.report import format_attribution, run_full_report
 
 TINY = ExperimentConfig(
     budget_hours=0.5,
@@ -67,3 +68,16 @@ class TestFullReport:
             for algo in searches:
                 assert algo in text
         assert "sec/eval" in text
+
+
+def test_attribution_counts_each_pruned_candidate_once():
+    """``budget_filtered`` counts the same ``is_feasible`` refusals as
+    ``budget_pruned``; only pruned plus lint-rejected is summed."""
+    result = SearchResult(
+        algorithm="random", pareto=[], front=[], trajectory=[], total_cost=1.0,
+        evaluations=4, gamma=0.3,
+        engine_stats={"budget_pruned": 6, "budget_filtered": 6, "budget_rejects": 1},
+    )
+    row = format_attribution({"Exp1": {"random": result}}).splitlines()[4]
+    assert row.split()[:2] == ["Exp1", "random"]
+    assert row.split()[6] == "7"
